@@ -32,8 +32,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from .errors import DegenerateClock, InvalidArgument, SchwarzschildViolation
 from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
@@ -198,10 +196,10 @@ def optimize_mass(theta: float, consts: ConstantsSet,
         Compton    dt = hbar/(m c^2)                 (decreasing, optional)
         gravity    dt = 4 G m / c^3                  (increasing)
 
-    so their pointwise max is V-shaped.  The kink is bracketed analytically
-    (spreading/gravity intersection at the gravitational mass limit;
-    Compton/gravity at sqrt(hbar c/(4G)), half the Planck mass) and polished
-    numerically over log-mass.
+    so their pointwise max is V-shaped and its minimiser is the kink, where
+    the decreasing envelope meets gravity: the spreading/gravity intersection
+    at the gravitational mass limit, or the Compton/gravity intersection at
+    sqrt(hbar c/(4G)), half the Planck mass, once Compton dominates there.
     """
     if not (theta > 0 and math.isfinite(theta)):
         raise InvalidArgument(f"operational time must be positive, got {theta!r}")
@@ -222,19 +220,11 @@ def optimize_mass(theta: float, consts: ConstantsSet,
             dt = max(dt, dt_compton(m))
         return dt
 
-    m_sg = gravitational_mass_limit(theta, consts)
     m_cg = math.sqrt(hbar * c / (4.0 * G))
     if include_compton and dt_compton(m_cg) >= dt_spread(m_cg):
-        m_star = m_cg
+        m_opt = m_cg
     else:
-        m_star = m_sg
-
-    res = minimize_scalar(lambda x: objective(math.exp(x)),
-                          bounds=(math.log(m_star / 2.0), math.log(m_star * 2.0)),
-                          method="bounded", options={"xatol": 1e-14})
-    m_opt = math.exp(res.x)
-    if objective(m_star) <= objective(m_opt):  # keep the analytic kink if sharper
-        m_opt = m_star
+        m_opt = gravitational_mass_limit(theta, consts)
     dt_min = objective(m_opt)
     if include_compton and dt_compton(m_opt) > dt_spread(m_opt):
         regime = MassRegime.COMPTON_GRAV_FLOOR

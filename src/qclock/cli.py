@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import json
+import math
 import sys
 
 import numpy as np
@@ -46,10 +49,11 @@ def _json_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise QClockError(f"non-finite result {float(value)!r} has no JSON form")
         return "%.17g" % float(value)
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -155,7 +159,10 @@ def cmd_build(args) -> int:
     else:
         if args.levels is None or args.epsilon is None:
             raise InvalidArgument("rationalized build needs --levels and --epsilon")
-        levels = [float(x) for x in args.levels.split(",")]
+        try:
+            levels = [float(x) for x in args.levels.split(",")]
+        except ValueError as exc:
+            raise InvalidArgument(f"bad --levels {args.levels!r}") from exc
         spec = rationalized_spectrum(levels, args.epsilon, consts)
     write_spectrum(spec, args.spectrum_out)
     config = {"command": "build", "kind": args.kind, "p": args.p, "T": args.T,
@@ -185,23 +192,24 @@ def cmd_check_identity(args) -> int:
 
 def _state_from_flag(text: str, spec: ClockSpectrum, povm: ClockPOVM):
     kind, _, value = text.partition(":")
-    if not value:
+    parse = {"taum": int, "energy": int, "t": float}.get(kind)
+    if parse is None:
         raise InvalidArgument(f"state {text!r} must look like taum:K, energy:N, or t:F")
+    try:
+        number = parse(value)
+    except ValueError as exc:
+        raise InvalidArgument(f"bad {kind} value in state {text!r}") from exc
     if kind == "taum":
-        m = int(value)
-        if not 0 <= m <= povm.z:
-            raise InvalidArgument(f"grid index {m} outside 0..{povm.z}")
-        return time_state(spec, float(povm.tau_grid[m]))
+        if not 0 <= number <= povm.z:
+            raise InvalidArgument(f"grid index {number} outside 0..{povm.z}")
+        return time_state(spec, float(povm.tau_grid[number]))
     if kind == "energy":
-        n = int(value)
-        if not 0 <= n <= spec.p:
-            raise InvalidArgument(f"energy index {n} outside 0..{spec.p}")
+        if not 0 <= number <= spec.p:
+            raise InvalidArgument(f"energy index {number} outside 0..{spec.p}")
         psi = np.zeros(spec.dimension, dtype=complex)
-        psi[n] = 1.0
+        psi[number] = 1.0
         return psi
-    if kind == "t":
-        return time_state(spec, float(value))
-    raise InvalidArgument(f"unknown state kind {kind!r}")
+    return time_state(spec, number)
 
 
 def cmd_measure(args) -> int:
@@ -238,35 +246,20 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _body_from_args(args) -> ClockBody:
-    return ClockBody(l_C=args.lc, m_rest=args.mrest, m=args.mass)
-
-
-def _report_dict(report) -> dict:
-    return {
-        "delta_tau_min": report.delta_tau_min,
-        "structural_dt": report.structural_dt,
-        "speed_limit_dt": report.speed_limit_dt,
-        "spreading_dt": report.spreading_dt,
-        "mass_limit": report.mass_limit,
-        "fundamental_dt": report.fundamental_dt,
-        "binding": report.binding.value,
-        "theta": report.theta,
-        "delta_x_opt": report.delta_x_opt,
-        "m": report.m,
-        "m_rest": report.m_rest,
-    }
+def _report_from_args(args, consts, spec: ClockSpectrum):
+    z = args.z if args.z is not None else max_integer(spec)
+    body = ClockBody(l_C=args.lc, m_rest=args.mrest, m=args.mass)
+    return z, bound_report(body, consts, spec, z, args.theta)
 
 
 def cmd_bounds(args) -> int:
     consts = _constants_for(args)
-    spec = _spectrum_from_args(args, consts)
-    z = args.z if args.z is not None else max_integer(spec)
-    report = bound_report(_body_from_args(args), consts, spec, z, args.theta)
+    z, report = _report_from_args(args, consts, _spectrum_from_args(args, consts))
     config = {"command": "bounds", "lc": args.lc, "mrest": args.mrest,
               "mass": args.mass, "p": args.p, "T": args.T,
               "spectrum": args.spectrum, "z": z, "theta": report.theta}
-    _emit(_document(args, config, _report_dict(report)), args.out)
+    result = {**dataclasses.asdict(report), "binding": report.binding.value}
+    _emit(_document(args, config, result), args.out)
     return 0
 
 
@@ -292,24 +285,13 @@ def cmd_sweep(args) -> int:
     param, lo, hi, steps = _parse_sweep(args.sweep)
     if param == "T" and args.spectrum:
         raise InvalidArgument("sweeping T requires the --p route, not --spectrum")
+    # only a T sweep changes the spectrum from step to step
+    fixed = None if param == "T" else _spectrum_from_args(args, consts)
     rows = []
     for value in np.linspace(lo, hi, steps):
-        overrides = {
-            "lc": args.lc, "mrest": args.mrest, "mass": args.mass,
-            "theta": args.theta, "T": args.T,
-        }
-        overrides[param] = float(value)
-        body = ClockBody(l_C=overrides["lc"], m_rest=overrides["mrest"],
-                         m=overrides["mass"])
-        if args.spectrum:
-            spec = read_spectrum(args.spectrum, consts)
-        else:
-            if args.p is None:
-                raise InvalidArgument("provide --spectrum FILE or --p")
-            spec = build_equally_spaced(args.p, overrides["T"], consts)
-        z = args.z if args.z is not None else max_integer(spec)
-        report = bound_report(body, consts, spec, z, overrides["theta"])
-        rows.append((float(value), report))
+        step = argparse.Namespace(**{**vars(args), param: float(value)})
+        spec = fixed if fixed is not None else _spectrum_from_args(step, consts)
+        rows.append((float(value), _report_from_args(step, consts, spec)[1]))
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([param, "delta_tau_min", "structural_dt", "speed_limit_dt",

@@ -14,7 +14,9 @@ equals the identity.  With integer phase frequencies r_n = E_n T/(2 pi hbar)
 the off-diagonal entries of F are geometric sums sum_m exp(-2 pi i (r_n -
 r_k) m/(z+1)), which vanish unless r_n - r_k is a multiple of z+1; hence
 choosing z+1 > r_p guarantees completeness, and any difference divisible by
-z+1 is a constructive counterexample.
+z+1 is a constructive counterexample.  F is summed over m in closed form, in
+O((p+1)^2) for any z; for exact spectra every sum is exactly 1 or 0, so the
+residual is 0 for distinct residues r_n mod (z+1), else max(class - 1, 1).
 
 Phase evaluation note: for spectra with exact integer frequencies the phases
 are reduced mod 1 in exact integer/Fraction arithmetic before exponentiating
@@ -24,7 +26,8 @@ this module is meant to certify at large r_p.  Spectra without exact
 integers (rationalized approximations) use the energies directly; their
 residual IS the quantity of interest.
 
-All operations are pure; dense assembly is capped at dimension p+1 <= 4096.
+All operations are pure; (p+1) x (p+1) matrices and the dial grid are capped
+at dimension p+1 <= 4096, and the dial grid at z+1 <= 2^30.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum
 from .spectrum import ClockSpectrum, SpectrumKind
@@ -55,6 +57,8 @@ def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
     exact, so e.g. evolving by the Fraction T/(z+1) lands on the next grid
     state to the last ulp.
     """
+    if not math.isfinite(tau):
+        raise InvalidArgument(f"dial time must be finite, got {tau!r}")
     if spec.has_exact_integers:
         x = Fraction(tau) / Fraction(spec.T)
         return np.array([float((rn * x) % 1) for rn in spec.r])
@@ -66,14 +70,12 @@ def _turns_grid(spec: ClockSpectrum, z: int, tau_0) -> np.ndarray:
     zp1 = z + 1
     if zp1 > 2**30:
         raise InvalidArgument(f"dial grids capped at z+1 <= 2^30, got {zp1}")
+    offs = _turns_single(spec, tau_0)  # also rejects a non-finite tau_0 on both branches
     if spec.has_exact_integers:
-        # r_n*m/(z+1) reduced with integer arithmetic; the tau_0 offset
-        # reduced exactly per level with Fraction arithmetic.
+        # r_n*m/(z+1) reduced with integer arithmetic, plus the exact offset
         r_mod = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
         m = np.arange(zp1, dtype=np.int64)
         frac_grid = ((r_mod[:, None] * m[None, :]) % zp1) / float(zp1)
-        x0 = Fraction(tau_0) / Fraction(spec.T)
-        offs = np.array([float((rn * x0) % 1) for rn in spec.r])
         return frac_grid + offs[:, None]
     freqs = spec.levels / (2.0 * math.pi * spec.hbar)
     taus = float(tau_0) + np.arange(zp1) * (spec.T / zp1)
@@ -138,7 +140,9 @@ class ClockPOVM:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
         if not 0 <= m <= self.z:
             raise InvalidArgument(f"outcome index {m} outside 0..{self.z}")
-        v = grid_amplitudes(self.spectrum, self.z, self.tau_0)[:, m]
+        _check_dense(self.spectrum)
+        tau_m = Fraction(self.tau_0) + m * Fraction(self.spectrum.T) / (self.z + 1)
+        v = time_state(self.spectrum, tau_m).amplitudes
         return float(self.weight) * np.outer(v, v.conj())
 
 
@@ -166,10 +170,39 @@ def evolve(state: TimeState, dt: float) -> TimeState:
     return TimeState(amps, state.tau + float(dt), state.spectrum)
 
 
+def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
+    """F_nk = e^{-2 pi i (t_n - t_k)} (z+1)^-1 sum_m e^{-2 pi i s_nk m/(z+1)}.
+
+    t_n is the tau_0 offset in turns and s_nk = (E_n - E_k) T/(2 pi hbar)
+    = (r_n - r_k) + d_nk.  The geometric sum is expm1(-2 pi i d) /
+    ((z+1) expm1(-2 pi i s/(z+1))), with r_n - r_k reduced mod z+1 exactly
+    so the small angle never cancels.  Exact spectra have d = 0, so every
+    entry of the sum is exactly 1 or 0.  Costs O((p+1)^2) whatever z is.
+    """
+    _check_dense(spec)
+    if zp1 > 2**62:
+        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
+    res = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
+    q = (res[:, None] - res[None, :] + zp1 // 2) % zp1 - zp1 // 2
+    d = (np.zeros(spec.dimension) if spec.has_exact_integers else
+         spec.levels * (spec.T / (2.0 * math.pi * spec.hbar)) - np.array(spec.r, dtype=float))
+    dd = d[:, None] - d[None, :]
+    angle = (q + dd) / zp1
+    geo = np.divide(np.expm1(-2j * math.pi * dd), zp1 * np.expm1(-2j * math.pi * angle),
+                    out=np.ones(q.shape, dtype=complex), where=angle != 0)
+    turns = _turns_single(spec, tau_0)
+    return np.exp(-2j * math.pi * (turns[:, None] - turns[None, :])) * geo
+
+
+def _residual(F: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(F - np.eye(len(F)))).max())
+
+
 def frame_operator(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
-    """F = (p+1)/(z+1) * sum_m |tau_m><tau_m|, assembled densely."""
-    V = grid_amplitudes(spec, z, tau_0)
-    return (spec.dimension / (z + 1)) * (V @ V.conj().T)
+    """F = (p+1)/(z+1) * sum_m |tau_m><tau_m|, summed over m in closed form."""
+    if z < spec.p:
+        raise InvalidArgument(f"need z >= p, got z={z}, p={spec.p}")
+    return _frame(spec, int(z) + 1, tau_0)
 
 
 def identity_residual(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> float:
@@ -177,8 +210,7 @@ def identity_residual(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> float:
 
     Zero (to float accuracy) certifies the POVM resolves the identity.
     """
-    resid = frame_operator(spec, z, tau_0) - np.eye(spec.dimension)
-    return float(np.abs(np.linalg.eigvalsh(resid)).max())
+    return _residual(frame_operator(spec, z, tau_0))
 
 
 def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
@@ -198,14 +230,8 @@ def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
             f"need quad_points >= 2*(r_p+1) = {2 * (r_p + 1)}, got {quad_points}")
     if quad_points < 2:
         raise InvalidArgument("need at least 2 quadrature points")
-    # the N-point periodic trapezoid over [t_0, t_0+T] is the dial grid with
-    # z+1 = N, so reuse the exact-phase assembly
-    _check_dense(spec)
-    turns = _turns_grid(spec, quad_points - 1, t_0)
-    V = np.exp(-2j * math.pi * turns) / math.sqrt(spec.dimension)
-    F = (spec.dimension / quad_points) * (V @ V.conj().T)
-    resid = F - np.eye(spec.dimension)
-    return float(np.abs(np.linalg.eigvalsh(resid)).max())
+    # the N-point periodic trapezoid over [t_0, t_0+T] is the dial grid with z+1 = N
+    return _residual(_frame(spec, int(quad_points), t_0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +305,7 @@ def first_orthogonal_time(spec: ClockSpectrum, *, samples_per_cycle: int = 32,
     minimum itself is located as a sign change of d|overlap|^2/dt, which
     Brent's method pins to machine precision.
     """
+    from scipy.optimize import brentq, minimize_scalar  # slow import, only needed here
     if spec.p < 1:
         return None
     n_grid = max(512, samples_per_cycle * (spec.r[-1] + 1))

@@ -86,7 +86,8 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
         if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
             raise InvalidArgument("state vector must be normalized")
     V = grid_amplitudes(spec, povm.z, povm.tau_0)
-    amp = V.conj().T @ psi
+    # conj(<tau_m|psi>) by einsum, not BLAS: a threaded gemv leaves a worker spinning after it
+    amp = np.einsum("nm,n->m", V, psi.conj())
     probs = float(povm.weight) * np.abs(amp) ** 2
     return OutcomeDistribution(probs, povm.tau_grid, spec.T)
 

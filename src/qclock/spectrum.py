@@ -99,8 +99,8 @@ class ClockSpectrum:
             raise InvalidArgument("levels and r must have equal length")
         if levels[0] != 0.0:
             raise InvalidArgument("lowest level must be exactly 0")
-        if np.any(np.diff(levels) <= 0):
-            raise InvalidArgument("levels must be strictly increasing (non-degenerate)")
+        if not (np.all(np.diff(levels) > 0) and math.isfinite(levels[-1])):
+            raise InvalidArgument("levels must be finite and strictly increasing (non-degenerate)")
         if self.r[0] != 0 or any(b <= a for a, b in zip(self.r, self.r[1:])):
             raise InvalidArgument("r must be strictly increasing from 0")
         if not (self.T > 0 and math.isfinite(self.T)):
@@ -232,8 +232,8 @@ def rationalize(levels: Sequence[float], epsilon: float) -> tuple[list[RationalR
         raise InvalidArgument("need at least two levels (p >= 1)")
     if levels[0] != 0.0:
         raise InvalidArgument("lowest level must be exactly 0")
-    if np.any(np.diff(levels) <= 0):
-        raise InvalidArgument("levels must be strictly increasing")
+    if not (np.all(np.diff(levels) > 0) and math.isfinite(levels[-1])):
+        raise InvalidArgument("levels must be finite and strictly increasing")
     eps = Fraction(epsilon)
     ratios: list[RationalRatio] = []
     worst = Fraction(0)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qclock import read_spectrum, natural_units
+from qclock import QClockError, cli, read_spectrum, natural_units
 from qclock.cli import main, to_json
 
 
@@ -192,3 +192,99 @@ def test_constants_file_flag(tmp_path, capsys):
     # hbar = 1 from the file: E_1 = 2 pi / T = 1
     spec = read_spectrum(str(spec_path), natural_units())
     assert spec.levels[1] == pytest.approx(1.0, rel=1e-15)
+
+
+def build_file(tmp_path, capsys, name, *argv):
+    path = tmp_path / name
+    code, _, _ = run_cli(capsys, "build", *argv, "--units", "natural",
+                         "--spectrum-out", str(path))
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--state", "taum:abc"],
+    ["measure", "--state", "energy:x"],
+    ["measure", "--state", "t:nan"],
+    ["measure", "--state", "t:inf"],
+    ["measure", "--state", "t"],
+    ["measure", "--state", "clock:\x01"],
+    ["measure", "--state", "t:0.1", "--tau0", "nan"],
+    ["check-identity", "--tau0", "nan"],
+    ["check-identity", "--z", str(2**62)],
+    ["build", "--kind", "rationalized", "--levels", "0,1,x", "--epsilon", "1e-3"],
+    ["build", "--kind", "rationalized", "--levels", "0,1,nan", "--epsilon", "1e-3"],
+    ["build", "--kind", "rationalized", "--levels", "0,1,inf", "--epsilon", "1e-3"],
+], ids=["taum-abc", "energy-x", "t-nan", "t-inf", "t-no-value", "control-char",
+        "tau0-nan", "check-tau0-nan", "z-beyond-2^62", "levels-x", "levels-nan",
+        "levels-inf"])
+@pytest.mark.parametrize("kind", ["rational", "rationalized"])
+def test_bad_input_exits_1_with_json_error(tmp_path, capsys, argv, kind):
+    if kind == "rational":
+        spec = build_file(tmp_path, capsys, "s.spec", "--kind", "rational",
+                          "--ratios", "4/1", "--e1", "1.0")
+    else:
+        spec = build_file(tmp_path, capsys, "s.spec", "--kind", "rationalized",
+                          "--levels", f"0,1,{math.sqrt(2)!r}", "--epsilon", "1e-3")
+    if argv[0] == "build":
+        argv = [*argv, "--spectrum-out", str(tmp_path / "out.spec")]
+    else:
+        argv = [*argv, "--spectrum", spec]
+    if argv[0] == "measure":
+        argv += ["--shots", "10", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv, "--units", "natural")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-argument"
+
+
+def test_non_finite_result_is_an_error_not_a_json_token(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--lc", "1", "--mass", "1e-320",
+                             "--p", "4", "--T", "100", "--units", "natural")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "qclock-error"
+    with pytest.raises(QClockError):
+        to_json({"x": [1.0, math.nan]})
+
+
+def test_json_strings_are_escaped(tmp_path, capsys):
+    text = to_json({"s": 'a"b\\c\nd\x01'})
+    assert json.loads(text)["s"] == 'a"b\\c\nd\x01'
+    spec = build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced",
+                      "--p", "3", "--T", "1.0")
+    code, out, _ = run_cli(capsys, "measure", "--spectrum", spec, "--units", "natural",
+                           "--state", "t:0.3\n", "--shots", "100", "--seed", "2")
+    assert code == 0
+    assert json.loads(out)["config"]["state"] == "t:0.3\n"
+
+
+@pytest.mark.parametrize("param", ["mass", "theta"])
+def test_sweep_reads_its_spectrum_once(tmp_path, capsys, monkeypatch, param):
+    spec = build_file(tmp_path, capsys, "rat.spec", "--kind", "rational",
+                      "--ratios", "5/3,7/2", "--e1", "1e-3")
+    calls = []
+
+    def counting_read(*args, **kwargs):
+        calls.append(args)
+        return read_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_spectrum", counting_read)
+    code, _, _ = run_cli(capsys, "sweep", "--lc", "8", "--mass", "0.5",
+                         "--spectrum", spec, "--units", "natural",
+                         "--sweep", f"{param}:0.1:1:20", "--out-csv",
+                         str(tmp_path / "sweep.csv"))
+    assert code == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 21
+
+
+def test_sweep_over_T_rebuilds_the_spectrum(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--lc", "8", "--mass", "0.5", "--p", "4",
+                         "--T", "100", "--units", "natural",
+                         "--sweep", "T:100:200:3", "--out-csv", str(csv_path))
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+    # the structural bound T/(p+1) follows the swept period
+    assert [float(row[2]) for row in rows] == pytest.approx([20.0, 30.0, 40.0], rel=1e-15)

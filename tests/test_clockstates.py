@@ -1,14 +1,19 @@
 import math
 from fractions import Fraction
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
-                    RationalRatio, UnsupportedSpectrum, build_equally_spaced,
-                    build_rational, continuous_identity_residual,
+from qclock import (ClockPOVM, ClockSpectrum, IncompatibleStates,
+                    InvalidArgument, RationalRatio, SpectrumKind,
+                    UnsupportedSpectrum, build_equally_spaced, build_rational,
+                    clockstates, continuous_identity_residual,
                     energy_shift_unitary, evolve, first_orthogonal_time,
-                    grid_amplitudes, hermitian_time_operator,
+                    frame_operator, grid_amplitudes, hermitian_time_operator,
                     identity_residual, overlap, rationalized_spectrum,
                     time_state)
 
@@ -46,6 +51,17 @@ def test_time_state_two_level_half_period(nat):
     state = time_state(spec, math.pi)
     expected = np.array([1.0, -1.0]) / math.sqrt(2)
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_time_state_rejects_non_finite_times(nat, tau):
+    for spec in (rat0621(nat), rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)):
+        with pytest.raises(InvalidArgument, match="finite"):
+            time_state(spec, tau)
+        with pytest.raises(InvalidArgument, match="finite"):
+            evolve(time_state(spec, 0.0), tau)
+        with pytest.raises(InvalidArgument, match="finite"):
+            identity_residual(spec, spec.r[-1], tau)
 
 
 def test_time_state_matches_naive_phases(nat, rng):
@@ -155,8 +171,15 @@ def test_identity_residual_counterexample_pinned(nat):
 
 
 def test_identity_residual_matches_naive_assembly(nat, rng):
-    for spec in (build_equally_spaced(3, 1.0, nat), rat0621(nat), rat014(nat)):
-        for z in (spec.p, spec.p + 3, spec.r[-1]):
+    golden = (1 + math.sqrt(5)) / 2
+    spectra = (build_equally_spaced(3, 1.0, nat), rat0621(nat), rat014(nat),
+               rationalized_spectrum([0.0, 1.0, golden], 1e-2, nat),
+               rationalized_spectrum([0.0, 1.0, golden], 1e-3, nat),
+               rationalized_spectrum([0.0, 1.0, math.e, math.pi], 1e-2, nat))
+    for spec in spectra:
+        # z+1 = r_p - r_1 makes r_p and r_1 collide mod z+1
+        colliding = max(spec.p, spec.r[-1] - spec.r[1] - 1)
+        for z in (spec.p, spec.p + 3, spec.r[-1], colliding):
             tau0 = float(rng.uniform(0, spec.T))
             mine = identity_residual(spec, z, tau0)
             ref = frame_residual_naive(spec.levels, spec.hbar, spec.T, z + 1, tau0)
@@ -171,6 +194,50 @@ def test_identity_residual_property_random_rational(nat, rng):
                               float(rng.uniform(0.5, 2.0)), nat)
         tau0 = float(rng.uniform(0, spec.T))
         assert identity_residual(spec, spec.r[-1], tau0) < 1e-12
+
+
+def _integer_spectrum(r):
+    # hbar = 1 and T = 2 pi make E_n = r_n exactly
+    return ClockSpectrum([float(x) for x in r], r, 2 * math.pi, 1.0, SpectrumKind.RATIONAL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.integers(1, 40), min_size=1, max_size=7),
+       extra=st.integers(0, 120), tau0=st.floats(-10.0, 10.0))
+def test_identity_residual_is_set_by_residue_classes(gaps, extra, tau0):
+    r = tuple(int(x) for x in np.cumsum([0, *gaps]))
+    spec = _integer_spectrum(r)
+    zp1 = spec.dimension + extra
+    largest = max(Counter(rn % zp1 for rn in r).values())
+    residual = identity_residual(spec, zp1 - 1, tau0)
+    if largest == 1:
+        assert residual < 1e-12
+    else:
+        assert residual == pytest.approx(max(largest - 1, 1), abs=1e-12)
+
+
+def test_identity_residual_beyond_the_dense_grid_cap(nat):
+    # r = (0, 462, 770, 1617, 7458, 41874); a dense dial grid of this size
+    # could never be allocated, the closed form needs none
+    spec = build_rational([RationalRatio(5, 3), RationalRatio(7, 2),
+                           RationalRatio(113, 7), RationalRatio(997, 11)], 1.0, nat)
+    assert spec.r == (0, 462, 770, 1617, 7458, 41874)
+    assert identity_residual(spec, 10**12) < 1e-12
+    assert identity_residual(spec, 2**62 - 1, 0.3) < 1e-12
+    with pytest.raises(InvalidArgument, match="2\\^62"):
+        identity_residual(spec, 2**62)
+
+
+def test_completeness_never_builds_the_dial_grid(nat, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("completeness must not assemble the dial grid")
+
+    monkeypatch.setattr(clockstates, "grid_amplitudes", forbidden)
+    monkeypatch.setattr(clockstates, "_turns_grid", forbidden)
+    for spec in (rat0621(nat), rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)):
+        assert frame_operator(spec, spec.r[-1]).shape == (spec.dimension, spec.dimension)
+        identity_residual(spec, spec.r[-1], 0.25)
+        continuous_identity_residual(spec, 2 * (spec.r[-1] + 1), 0.25)
 
 
 def test_identity_residual_failure_witness_family(nat):
@@ -283,6 +350,15 @@ def test_povm_elements_sum_to_identity(nat):
     total = sum(povm.element(m) for m in range(povm.n_outcomes))
     assert np.max(np.abs(total - np.eye(spec.dimension))) < 1e-12
     assert povm.weight == Fraction(3, 5)
+
+
+def test_povm_element_is_one_grid_column(nat):
+    for spec in (rat0621(nat), rationalized_spectrum([0.0, 1.0, math.e], 1e-2, nat)):
+        povm = ClockPOVM(spec, spec.r[-1] + 4, 0.31)
+        V = grid_amplitudes(spec, povm.z, povm.tau_0)
+        for m in (0, 1, povm.z // 2, povm.z):
+            expected = float(povm.weight) * np.outer(V[:, m], V[:, m].conj())
+            assert np.max(np.abs(povm.element(m) - expected)) < 1e-12
 
 
 def test_povm_rejects_small_z(nat):
