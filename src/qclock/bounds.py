@@ -32,7 +32,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateClock, InvalidArgument, SchwarzschildViolation
+from .errors import (DegenerateClock, InvalidArgument, QClockError,
+                     SchwarzschildViolation)
 from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
 
@@ -293,7 +294,7 @@ def bound_report(body: ClockBody, consts: ConstantsSet, spec: ClockSpectrum,
         BindingBound.FUNDAMENTAL: fundamental,
     }
     binding = max(lower_bounds, key=lower_bounds.get)
-    return BoundReport(
+    report = BoundReport(
         delta_tau_min=delta_tau,
         structural_dt=structural,
         speed_limit_dt=speed,
@@ -306,3 +307,7 @@ def bound_report(body: ClockBody, consts: ConstantsSet, spec: ClockSpectrum,
         m=body.m,
         m_rest=body.m_rest,
     )
+    for name, value in vars(report).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise QClockError(f"bound {name} = {value!r} is not finite")
+    return report

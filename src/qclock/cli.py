@@ -10,9 +10,10 @@ sweep           CSV sweep of the bounds over one parameter
 
 Every JSON document carries the tool version, unit mode, and the fully
 resolved configuration; stochastic runs carry their seed.  Floats are printed
-at 17 significant digits so records round-trip exactly.  Usage errors exit
-with status 2; domain errors exit 1 after printing a structured message
-naming the violated precondition (e.g. ``schwarzschild-violation``).
+as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
+back to the same bits.  Usage errors exit with status 2; domain errors exit 1
+after printing a structured message naming the violated precondition (e.g.
+``schwarzschild-violation``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -37,50 +37,23 @@ from .spectrum import (ClockSpectrum, RationalRatio, build_equally_spaced,
 from .units import resolve_constants
 
 
-# --- deterministic JSON with 17-significant-digit floats --------------------
+# --- deterministic JSON: sorted keys, two-space indent, repr floats ----------
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise QClockError(f"non-finite result {float(value)!r} has no JSON form")
-        return "%.17g" % float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{key}": {to_json(obj[key], indent + 1)}' for key in sorted(obj)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{to_json(x, indent + 1)}" for x in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
+def _write(document: dict, fh) -> None:
+    """Stream one JSON document to an open text file, refusing nan and inf."""
+    try:
+        json.dump(document, fh, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise QClockError(f"non-finite result has no JSON form: {exc}") from exc
+    fh.write("\n")
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    text = to_json(document) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(document, fh)
     else:
-        sys.stdout.write(text)
+        _write(document, sys.stdout)
 
 
 def _document(args, config: dict, result: dict) -> dict:
@@ -227,8 +200,8 @@ def cmd_measure(args) -> int:
     result = {
         "seed": record.seed,
         "shots": record.shots,
-        "counts": [int(c) for c in record.counts],
-        "tau_grid": list(record.tau_grid),
+        "counts": record.counts.tolist(),
+        "tau_grid": record.tau_grid.tolist(),
         "estimate": record.estimate,
         "estimate_error": record.estimate_error,
     }
@@ -240,9 +213,9 @@ def cmd_measure(args) -> int:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "tau_m", "count", "frequency"])
-            for m, (tau_m, count) in enumerate(zip(record.tau_grid, record.counts)):
-                writer.writerow([m, "%.17g" % tau_m, int(count),
-                                 "%.17g" % (count / record.shots)])
+            bins = zip(result["tau_grid"], result["counts"])
+            writer.writerows((m, tau_m, count, count / record.shots)
+                             for m, (tau_m, count) in enumerate(bins))
     return 0
 
 
@@ -296,15 +269,9 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow([param, "delta_tau_min", "structural_dt", "speed_limit_dt",
                          "spreading_dt", "fundamental_dt", "mass_limit", "binding"])
-        for value, report in rows:
-            writer.writerow(["%.17g" % value,
-                             "%.17g" % report.delta_tau_min,
-                             "%.17g" % report.structural_dt,
-                             "%.17g" % report.speed_limit_dt,
-                             "%.17g" % report.spreading_dt,
-                             "%.17g" % report.fundamental_dt,
-                             "%.17g" % report.mass_limit,
-                             report.binding.value])
+        writer.writerows((value, r.delta_tau_min, r.structural_dt, r.speed_limit_dt,
+                          r.spreading_dt, r.fundamental_dt, r.mass_limit, r.binding.value)
+                         for value, r in rows)
     config = {"command": "sweep", "sweep": args.sweep, "lc": args.lc,
               "mrest": args.mrest, "mass": args.mass, "p": args.p, "T": args.T,
               "spectrum": args.spectrum, "z": args.z, "theta": args.theta,
@@ -395,7 +362,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except QClockError as exc:
-        sys.stderr.write(to_json({"error": exc.code, "message": str(exc)}) + "\n")
+        _write({"error": exc.code, "message": str(exc)}, sys.stderr)
         return 1
 
 

@@ -122,6 +122,8 @@ class ClockPOVM:
     def __post_init__(self):
         if not isinstance(self.z, (int, np.integer)) or self.z < self.spectrum.p:
             raise InvalidArgument(f"need z >= p = {self.spectrum.p}, got {self.z!r}")
+        if not math.isfinite(self.tau_0):
+            raise InvalidArgument(f"dial offset tau_0 must be finite, got {self.tau_0!r}")
         object.__setattr__(self, "z", int(self.z))
 
     @property
@@ -190,8 +192,10 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     angle = (q + dd) / zp1
     geo = np.divide(np.expm1(-2j * math.pi * dd), zp1 * np.expm1(-2j * math.pi * angle),
                     out=np.ones(q.shape, dtype=complex), where=angle != 0)
-    turns = _turns_single(spec, tau_0)
-    return np.exp(-2j * math.pi * (turns[:, None] - turns[None, :])) * geo
+    u = np.exp(-2j * math.pi * _turns_single(spec, tau_0))
+    phase = u[:, None] * u.conj()
+    np.fill_diagonal(phase, 1.0)
+    return phase * geo
 
 
 def _residual(F: np.ndarray) -> float:

@@ -117,8 +117,11 @@ def circular_mean(record: MeasurementRecord, T: float | None = None) -> tuple[fl
     sqrt(shots).
     """
     T = record.T if T is None else float(T)
-    angles = 2.0 * math.pi * record.tau_grid / T
-    resultant = np.sum(record.counts * np.exp(1j * angles))
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = 2.0 * math.pi * record.tau_grid / T
+        resultant = np.sum(record.counts * np.exp(1j * angles))
+    if not np.isfinite(resultant):
+        raise InvalidArgument(f"dial times overflow the circular mean over period {T!r}")
     r_mag = abs(resultant) / record.shots
     if r_mag < 1e-9:
         raise NoEstimate("outcome data are uniform on the dial; no direction to average")

@@ -1,10 +1,20 @@
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import QClockError, cli, read_spectrum, natural_units
-from qclock.cli import main, to_json
+from qclock.cli import _write, main
+
+
+def dumps(document):
+    buf = io.StringIO()
+    _write(document, buf)
+    return buf.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -171,13 +181,28 @@ def test_sweep_rejects_unknown_param(capsys):
     assert json.loads(err)["error"] == "invalid-argument"
 
 
-def test_json_floats_are_17_sig_digits():
-    text = to_json({"x": math.pi, "n": 3, "flag": True, "none": None,
-                    "list": [1.5, 2.25]})
-    assert "3.1415926535897931" in text
+def test_json_floats_are_shortest_repr():
+    text = dumps({"x": math.pi, "n": 3, "flag": True, "none": None,
+                  "list": [1.5, 2.25], "whole": 100.0, "zero": -0.0})
+    assert text == ('{\n  "flag": true,\n  "list": [\n    1.5,\n    2.25\n  ],\n'
+                    '  "n": 3,\n  "none": null,\n  "whole": 100.0,\n'
+                    '  "x": 3.141592653589793,\n  "zero": -0.0\n}\n')
     parsed = json.loads(text)
-    assert parsed["x"] == math.pi  # 17 significant digits round-trip exactly
+    assert parsed["x"] == math.pi  # the shortest repr round-trips exactly
     assert parsed["list"] == [1.5, 2.25]
+    assert type(parsed["whole"]) is float
+    assert math.copysign(1.0, parsed["zero"]) == -1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-2**53, 2**53).map(float),
+                          st.integers())))
+def test_json_numbers_round_trip_bit_for_bit(values):
+    def bits(xs):
+        return [(type(x), x.hex() if isinstance(x, float) else x) for x in xs]
+
+    assert bits(json.loads(dumps({"values": values}))["values"]) == bits(values)
 
 
 def test_constants_file_flag(tmp_path, capsys):
@@ -245,11 +270,11 @@ def test_non_finite_result_is_an_error_not_a_json_token(capsys):
     assert out == ""
     assert json.loads(err)["error"] == "qclock-error"
     with pytest.raises(QClockError):
-        to_json({"x": [1.0, math.nan]})
+        _write({"x": [1.0, math.nan]}, io.StringIO())
 
 
 def test_json_strings_are_escaped(tmp_path, capsys):
-    text = to_json({"s": 'a"b\\c\nd\x01'})
+    text = dumps({"s": 'a"b\\c\nd\x01'})
     assert json.loads(text)["s"] == 'a"b\\c\nd\x01'
     spec = build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced",
                       "--p", "3", "--T", "1.0")
@@ -257,6 +282,48 @@ def test_json_strings_are_escaped(tmp_path, capsys):
                            "--state", "t:0.3\n", "--shots", "100", "--seed", "2")
     assert code == 0
     assert json.loads(out)["config"]["state"] == "t:0.3\n"
+
+
+def test_sweep_with_a_non_finite_bound_writes_nothing(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--lc", "1", "--mass", "1e-320",
+                             "--p", "4", "--T", "100", "--units", "natural",
+                             "--sweep", "theta:10:100:3", "--out-csv", str(csv_path))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "qclock-error"
+    assert "spreading_dt" in error["message"]
+    assert not csv_path.exists()
+
+
+def test_measure_with_an_overflowing_estimate_writes_nothing(tmp_path, capsys):
+    spec = build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced",
+                      "--p", "3", "--T", "1.0")
+    code, out, err = run_cli(capsys, "measure", "--spectrum", spec, "--units", "natural",
+                             "--state", "energy:1", "--tau0", "1.7e308",
+                             "--shots", "100", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-argument"
+
+
+def test_measure_csv_matches_json_record(tmp_path, capsys):
+    spec = build_file(tmp_path, capsys, "rat.spec", "--kind", "rational",
+                      "--ratios", "5/3,7/2", "--e1", "1.0")
+    json_path, csv_path = tmp_path / "m.json", tmp_path / "m.csv"
+    code, _, _ = run_cli(capsys, "measure", "--spectrum", spec, "--units", "natural",
+                         "--state", "t:12.3", "--shots", "1000", "--seed", "5",
+                         "--out", str(json_path), "--csv", str(csv_path))
+    assert code == 0
+    result = json.loads(json_path.read_text())["result"]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["tau_m"]).hex() for row in rows] == [
+        tau.hex() for tau in result["tau_grid"]]
+    assert [int(row["count"]) for row in rows] == result["counts"]
+    assert [float(row["frequency"]) for row in rows] == [
+        count / 1000 for count in result["counts"]]
 
 
 @pytest.mark.parametrize("param", ["mass", "theta"])

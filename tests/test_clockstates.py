@@ -62,6 +62,8 @@ def test_time_state_rejects_non_finite_times(nat, tau):
             evolve(time_state(spec, 0.0), tau)
         with pytest.raises(InvalidArgument, match="finite"):
             identity_residual(spec, spec.r[-1], tau)
+        with pytest.raises(InvalidArgument, match="finite"):
+            ClockPOVM(spec, spec.r[-1], tau)
 
 
 def test_time_state_matches_naive_phases(nat, rng):
@@ -211,7 +213,7 @@ def test_identity_residual_is_set_by_residue_classes(gaps, extra, tau0):
     largest = max(Counter(rn % zp1 for rn in r).values())
     residual = identity_residual(spec, zp1 - 1, tau0)
     if largest == 1:
-        assert residual < 1e-12
+        assert residual == 0.0
     else:
         assert residual == pytest.approx(max(largest - 1, 1), abs=1e-12)
 
