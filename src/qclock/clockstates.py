@@ -20,14 +20,18 @@ residual is 0 for distinct residues r_n mod (z+1), else max(class - 1, 1).
 
 Phase evaluation note: for spectra with exact integer frequencies the phases
 are reduced mod 1 in exact integer/Fraction arithmetic before exponentiating
-(identical to exp(-i E_n tau/hbar) up to whole turns).  Naive float phases
-lose ~r_p*eps of a turn, which would swamp the 1e-12 completeness residuals
-this module is meant to certify at large r_p.  Spectra without exact
-integers (rationalized approximations) use the energies directly; their
-residual IS the quantity of interest.
+(identical to exp(-i E_n tau/hbar) up to whole turns).  On the dial grid the
+reduced phase r_n m/(z+1) is an exact integer index (r_n m mod (z+1)) into
+one table of z+1 twiddles e^{-2 pi i k/(z+1)}, times the exact tau_0 offset
+phase of each level.  Naive float phases lose ~r_p*eps of a turn, which would
+swamp the 1e-12 completeness residuals this module is meant to certify at
+large r_p.  Spectra without exact integers (rationalized approximations) use
+the energies directly; their residual IS the quantity of interest.
 
-All operations are pure; (p+1) x (p+1) matrices and the dial grid are capped
-at dimension p+1 <= 4096, and the dial grid at z+1 <= 2^30.
+All operations are pure; (p+1) x (p+1) matrices and the dense dial grid are
+capped at dimension p+1 <= 4096, and dial rows at z+1 <= 2^30.  The dense
+grid is built only on request (grid_amplitudes, the Hermitian time operator);
+measurement folds the grid one row at a time and never holds it.
 """
 
 from __future__ import annotations
@@ -65,21 +69,40 @@ def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
     return np.mod(spec.levels * (float(tau) / (2.0 * math.pi * spec.hbar)), 1.0)
 
 
-def _turns_grid(spec: ClockSpectrum, z: int, tau_0) -> np.ndarray:
-    """Phase turns, shape (p+1, z+1), for the dial grid tau_0 + m T/(z+1)."""
-    zp1 = z + 1
+def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
+    """Yield row n of the dial grid, (p+1)^-1/2 e^{-2 pi i phase_n(tau_m)} over m = 0..z.
+
+    Exact spectra gather from one twiddle table w[k] = e^{-2 pi i k/(z+1)}:
+    row n is w[(r_n mod (z+1)) m mod (z+1)] u_n with the exact tau_0 offset
+    phase u_n, so z+1 complex exp serve all p+1 rows.  Other spectra take
+    float phases f_n tau_m straight from the energies; an offset so large
+    that they overflow gives nan rows, not warnings.  Rows are yielded one at
+    a time, so a caller that folds them keeps O(z+1) memory.
+    """
+    # N = z+1: the gather index (r_n mod N) m must stay below 2^63 in int64,
+    # and N <= 2^30 keeps it below 2^60
     if zp1 > 2**30:
         raise InvalidArgument(f"dial grids capped at z+1 <= 2^30, got {zp1}")
-    offs = _turns_single(spec, tau_0)  # also rejects a non-finite tau_0 on both branches
+    if not math.isfinite(tau_0):
+        raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
+    norm = math.sqrt(spec.dimension)
     if spec.has_exact_integers:
-        # r_n*m/(z+1) reduced with integer arithmetic, plus the exact offset
-        r_mod = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
         m = np.arange(zp1, dtype=np.int64)
-        frac_grid = ((r_mod[:, None] * m[None, :]) % zp1) / float(zp1)
-        return frac_grid + offs[:, None]
+        w = np.exp(-2j * math.pi * (m / float(zp1)))
+        u = np.exp(-2j * math.pi * _turns_single(spec, tau_0)) / norm
+        for rn, un in zip(spec.r, u):
+            index = m * (rn % zp1)
+            row = w[np.remainder(index, zp1, out=index)]
+            row *= un
+            yield row
+        return
     freqs = spec.levels / (2.0 * math.pi * spec.hbar)
     taus = float(tau_0) + np.arange(zp1) * (spec.T / zp1)
-    return np.outer(freqs, taus)
+    for f in freqs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = np.exp(-2j * math.pi * (f * taus))
+            row /= norm
+        yield row
 
 
 def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
@@ -87,8 +110,10 @@ def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarr
     if z < spec.p:
         raise InvalidArgument(f"need z >= p, got z={z}, p={spec.p}")
     _check_dense(spec)
-    turns = _turns_grid(spec, z, tau_0)
-    return np.exp(-2j * math.pi * turns) / math.sqrt(spec.dimension)
+    zp1 = int(z) + 1
+    # fromiter fills the grid row by row, holding one row beside it
+    return np.fromiter(_dial_rows(spec, zp1, tau_0), dtype=np.dtype((complex, zp1)),
+                       count=spec.dimension)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,12 @@
 Outcome probabilities follow the Born rule for the dial POVM,
 P(m) = (p+1)/(z+1) |<tau_m|psi>|^2.  Sampling is inverse-CDF draws from
 numpy's PCG64 generator (``np.random.default_rng(seed)``), so a record is
-reproduced bit-for-bit from its seed.  Because the dial is periodic, time is
-estimated with the circular mean of the observed tau_m; a linear average
-would be biased by up to T/2 at the period seam.
+reproduced bit-for-bit from its seed.  The amplitudes <tau_m|psi> are folded
+level by level from the dial rows, so a distribution over z+1 outcomes costs
+O(z+1) memory whatever p is; the (p+1) x (z+1) grid is never built.  Because
+the dial is periodic, time is estimated with the circular mean of the
+observed tau_m; a linear average would be biased by up to T/2 at the period
+seam.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clockstates import ClockPOVM, TimeState, grid_amplitudes
+from .clockstates import ClockPOVM, TimeState, _dial_rows
 from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
                      NoEstimate)
 
 # tolerated drift of sum(P) away from 1 before a distribution is rejected
 SUM_TOLERANCE = 1e-6
+# uniforms drawn, sorted and searched at a time by sample
+SAMPLE_CHUNK = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +45,8 @@ class OutcomeDistribution:
         object.__setattr__(self, "tau_grid", grid)
         if probs.shape != grid.shape or probs.ndim != 1:
             raise InvalidArgument("probs and tau_grid must be equal-length vectors")
+        if not np.isfinite(probs).all():
+            raise InvalidDistribution("probabilities must be finite")
         if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
             raise InvalidDistribution("probabilities outside [0, 1]")
 
@@ -83,11 +90,14 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
         if psi.shape != (spec.dimension,):
             raise IncompatibleStates(
                 f"state vector of length {psi.shape} does not fit dimension {spec.dimension}")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # also refuses nan
             raise InvalidArgument("state vector must be normalized")
-    V = grid_amplitudes(spec, povm.z, povm.tau_0)
-    # conj(<tau_m|psi>) by einsum, not BLAS: a threaded gemv leaves a worker spinning after it
-    amp = np.einsum("nm,n->m", V, psi.conj())
+    # conj(<tau_m|psi>) = sum_n conj(psi_n) row_n, one row at a time; no BLAS,
+    # whose threaded gemv leaves a worker spinning after it returns
+    amp = np.zeros(povm.n_outcomes, dtype=complex)
+    for c, row in zip(psi.conj(), _dial_rows(spec, povm.n_outcomes, povm.tau_0)):
+        row *= c
+        amp += row
     probs = float(povm.weight) * np.abs(amp) ** 2
     return OutcomeDistribution(probs, povm.tau_grid, spec.T)
 
@@ -103,8 +113,14 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
     cdf = np.cumsum(dist.probs / total)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
-    counts = np.bincount(outcomes, minlength=len(dist.probs))
+    # PCG64 random() gives the same stream however its calls are split, and
+    # bincount ignores order, so chunked sorted draws count what one unsorted
+    # draw would; sorted needles keep the search cache-friendly
+    counts = np.zeros(len(cdf), dtype=np.int64)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, shots - start))
+        draws.sort()
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
     return MeasurementRecord(seed=int(seed), shots=int(shots), counts=counts,
                              tau_grid=dist.tau_grid, T=dist.T)
 

@@ -41,6 +41,17 @@ def frame_residual_naive(levels, hbar, T, zp1, tau0) -> float:
     return float(np.linalg.norm(F - np.eye(d), 2))
 
 
+def outcome_probabilities_naive(levels, hbar, T, zp1, tau0, psi) -> np.ndarray:
+    """Born-rule P(m) = d/(z+1) |<tau_m|psi>|^2 from float phases, one m at a time."""
+    d = len(levels)
+    probs = np.empty(zp1)
+    for m in range(zp1):
+        tau = tau0 + m * T / zp1
+        v = np.exp(-1j * np.asarray(levels) * tau / hbar) / math.sqrt(d)
+        probs[m] = d / zp1 * abs(np.vdot(v, psi)) ** 2
+    return probs
+
+
 def gram_matrix_naive(levels, hbar, taus) -> np.ndarray:
     d = len(levels)
     V = np.array([np.exp(-1j * np.asarray(levels) * t / hbar) / math.sqrt(d)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -355,3 +356,46 @@ def test_sweep_over_T_rebuilds_the_spectrum(tmp_path, capsys):
     rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
     # the structural bound T/(p+1) follows the swept period
     assert [float(row[2]) for row in rows] == pytest.approx([20.0, 30.0, 40.0], rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_measure_with_overflowing_dial_phases_writes_nothing(tmp_path, capsys):
+    spec = build_file(tmp_path, capsys, "irr.spec", "--kind", "rationalized",
+                      "--levels", f"0,1,{math.sqrt(2)!r}", "--epsilon", "1e-3")
+    code, out, err = run_cli(capsys, "measure", "--spectrum", spec, "--units", "natural",
+                             "--state", "t:0.3", "--tau0", "1.7e308",
+                             "--shots", "100", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-distribution"
+
+
+# SHA-256 of the measure document on stdout, captured while outcome_probabilities
+# still built the dense dial grid and sample searched unsorted draws: a change to
+# the dial kernel or the sampler must leave seeded records as they were
+PINNED_MEASURE_DIGESTS = {
+    "rational-default-z": (
+        ["--spectrum", "rat.spec", "--state", "t:0.3"],
+        "30f5d1cc2b5f27d754be858b33ca8cea93944ecc8296aa32bccd30ebe910f967"),
+    "rational-tau0": (
+        ["--spectrum", "rat.spec", "--state", "t:0.3", "--tau0", "0.123"],
+        "3525d860409d6c0137bd1c6127536ad418abcc6746965f88334e370d116ef7cd"),
+    "equally-spaced-z-1e5": (
+        ["--spectrum", "eq.spec", "--state", "t:0.3", "--z", "100000"],
+        "5786f794389079a614a33a42345bdd97047af5100d04cfc09103876a9d23a774"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_MEASURE_DIGESTS)
+def test_seeded_measure_records_are_pinned(tmp_path, capsys, monkeypatch, case):
+    # relative spectrum paths, since the path is part of the document
+    monkeypatch.chdir(tmp_path)
+    build_file(tmp_path, capsys, "rat.spec", "--kind", "rational",
+               "--ratios", "5/3,7/2,113/7,997/11", "--e1", "1.0")
+    build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced",
+               "--p", "5", "--T", "1.0")
+    argv, digest = PINNED_MEASURE_DIGESTS[case]
+    code, out, _ = run_cli(capsys, "measure", *argv, "--units", "natural",
+                           "--shots", "100000", "--seed", "11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

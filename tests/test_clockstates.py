@@ -235,7 +235,7 @@ def test_completeness_never_builds_the_dial_grid(nat, monkeypatch):
         raise AssertionError("completeness must not assemble the dial grid")
 
     monkeypatch.setattr(clockstates, "grid_amplitudes", forbidden)
-    monkeypatch.setattr(clockstates, "_turns_grid", forbidden)
+    monkeypatch.setattr(clockstates, "_dial_rows", forbidden)
     for spec in (rat0621(nat), rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)):
         assert frame_operator(spec, spec.r[-1]).shape == (spec.dimension, spec.dimension)
         identity_residual(spec, spec.r[-1], 0.25)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ import pytest
 from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
                     InvalidDistribution, MeasurementRecord, NoEstimate,
                     OutcomeDistribution, RationalRatio, build_equally_spaced,
-                    build_rational, circular_mean, estimate_time, evolve,
-                    outcome_probabilities, sample, time_state, with_estimate)
+                    build_rational, circular_mean, clockstates, estimate_time,
+                    evolve, measurement, outcome_probabilities,
+                    rationalized_spectrum, sample, time_state, with_estimate)
 
-from oracles import circular_mean_naive
+from oracles import circular_mean_naive, outcome_probabilities_naive
 
 
 def test_grid_state_gives_kronecker_delta(nat):
@@ -64,6 +67,8 @@ def test_mismatched_state_rejected(nat):
         outcome_probabilities(np.ones(7) / math.sqrt(7), povm)
     with pytest.raises(InvalidArgument):
         outcome_probabilities(np.ones(4), povm)  # not normalized
+    with pytest.raises(InvalidArgument):
+        outcome_probabilities(np.array([math.nan, 0, 0, 0]), povm)
 
 
 def test_statistics_shift_covariance(nat, rng):
@@ -77,7 +82,99 @@ def test_statistics_shift_covariance(nat, rng):
     assert np.max(np.abs(after - np.roll(before, 1))) < 1e-10
 
 
+def energy_state(spec, n):
+    psi = np.zeros(spec.dimension, dtype=complex)
+    psi[n] = 1.0
+    return psi
+
+
+def rat0621(nat):
+    return build_rational([RationalRatio(5, 3), RationalRatio(7, 2)], 1.0, nat)
+
+
+def oracle_case(spec, z, tau_0, state):
+    """(spec, POVM, state, psi): state is a time t or an energy index n."""
+    if isinstance(state, int):
+        psi = energy_state(spec, state)
+        return spec, ClockPOVM(spec, z, tau_0), psi, psi
+    state = time_state(spec, state)
+    return spec, ClockPOVM(spec, z, tau_0), state, state.amplitudes
+
+
+ORACLE_CASES = {
+    # r = (0, 1, 4) at z+1 = 3: r_1 and r_2 share residue 1
+    "residue-collision": lambda nat: oracle_case(
+        build_rational([RationalRatio(4, 1)], 1.0, nat), 2, 0.0, 0.3),
+    "tau0-offset": lambda nat: oracle_case(rat0621(nat), 30, 0.37, 2.9),
+    "energy-eigenstate": lambda nat: oracle_case(rat0621(nat), 21, 0.11, 2),
+    "equally-spaced-z-above-p": lambda nat: oracle_case(
+        build_equally_spaced(5, 1.0, nat), 40, 0.1, 0.23),
+    "rationalized": lambda nat: oracle_case(
+        rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat), 41, 0.2, 0.7),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_outcome_probabilities_match_naive_oracle(nat, case):
+    spec, povm, state, psi = ORACLE_CASES[case](nat)
+    probs = outcome_probabilities(state, povm).probs
+    ref = outcome_probabilities_naive(spec.levels, spec.hbar, spec.T, povm.z + 1,
+                                      povm.tau_0, psi)
+    assert probs == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_outcome_probabilities_never_build_the_dial_grid(nat, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("outcome_probabilities must not assemble the dial grid")
+
+    monkeypatch.setattr(clockstates, "grid_amplitudes", forbidden)
+    monkeypatch.setattr(measurement, "grid_amplitudes", forbidden, raising=False)
+    for make in ORACLE_CASES.values():
+        _, povm, state, _ = make(nat)
+        assert outcome_probabilities(state, povm).probs.shape == (povm.n_outcomes,)
+
+
+def test_outcome_probabilities_memory_is_linear_in_z(nat):
+    # the dense (p+1) x (z+1) grid alone would be 64 * 100001 * 16 B = 102 MB
+    spec = build_equally_spaced(63, 1.0, nat)
+    povm = ClockPOVM(spec, 10**5, 0.1)
+    state = time_state(spec, 0.3)
+    tracemalloc.start()
+    try:
+        dist = outcome_probabilities(state, povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert abs(dist.probs.sum() - 1.0) < 1e-12
+
+
+def test_overflowing_dial_phases_are_refused_without_warnings(nat):
+    # tau_0 near the float maximum overflows the rationalized float phases
+    spec = rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)
+    povm = ClockPOVM(spec, spec.r[-1], tau_0=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (time_state(spec, 0.3), energy_state(spec, 1)):
+            with pytest.raises(InvalidDistribution, match="finite"):
+                outcome_probabilities(state, povm)
+
+
 # --- sampling -----------------------------------------------------------------
+
+def test_chunked_sorted_sampling_matches_one_unsorted_draw(nat):
+    spec = rat0621(nat)
+    dist = outcome_probabilities(time_state(spec, 1.7), ClockPOVM(spec, 40, 0.2))
+    shots = 3 * 2**20 + 7  # four chunks of at most 2^20 draws
+    rec = sample(dist, shots, seed=2024)
+    total = float(dist.probs.sum())
+    cdf = np.cumsum(dist.probs / total)
+    cdf[-1] = 1.0
+    draws = np.random.default_rng(2024).random(shots)
+    ref = np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
+    assert np.array_equal(rec.counts, ref)
+
+
 
 def test_sample_deterministic_distribution(nat):
     spec = build_equally_spaced(4, 1.0, nat)
@@ -121,6 +218,10 @@ def test_sample_rejects_bad_distribution(nat):
     good = OutcomeDistribution(np.array([0.5, 0.5]), np.array([0.0, 0.5]), 1.0)
     with pytest.raises(InvalidArgument):
         sample(good, 0, seed=1)
+    # nan passes any |sum - 1| tolerance test, so it is refused on construction
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidDistribution, match="finite"):
+            OutcomeDistribution(np.array([0.5, bad]), np.array([0.0, 0.5]), 1.0)
 
 
 def test_sample_renormalizes_small_drift(nat):
