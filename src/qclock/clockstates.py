@@ -15,8 +15,15 @@ the off-diagonal entries of F are geometric sums sum_m exp(-2 pi i (r_n -
 r_k) m/(z+1)), which vanish unless r_n - r_k is a multiple of z+1; hence
 choosing z+1 > r_p guarantees completeness, and any difference divisible by
 z+1 is a constructive counterexample.  F is summed over m in closed form, in
-O((p+1)^2) for any z; for exact spectra every sum is exactly 1 or 0, so the
-residual is 0 for distinct residues r_n mod (z+1), else max(class - 1, 1).
+O((p+1)^2) for any z.  For exact spectra every sum is exactly 1 or 0:
+F = D P D^H with P all-ones inside each residue class of r_n mod (z+1) and D
+a diagonal phase, so the residual is read off the residue classes with no
+eigensolver: 0 for distinct residues, else max(largest class - 1, 1).
+
+The first orthogonal dial time is scanned on N = max(512, 32 (r_p+1))
+samples of |<t0|t0 + k T/N>|.  On exact spectra those are one length-N FFT
+of the histogram of r_n mod N; other spectra fold the float-phase dial rows.
+Both take O(N) memory.
 
 Phase evaluation note: for spectra with exact integer frequencies the phases
 are reduced mod 1 in exact integer/Fraction arithmetic before exponentiating
@@ -29,14 +36,16 @@ large r_p.  Spectra without exact integers (rationalized approximations) use
 the energies directly; their residual IS the quantity of interest.
 
 All operations are pure; (p+1) x (p+1) matrices and the dense dial grid are
-capped at dimension p+1 <= 4096, and dial rows at z+1 <= 2^30.  The dense
-grid is built only on request (grid_amplitudes, the Hermitian time operator);
-measurement folds the grid one row at a time and never holds it.
+capped at dimension p+1 <= 4096, and dial rows and scans at 2^30 points.
+The dense grid is built only on request (grid_amplitudes, the Hermitian time
+operator); measurement folds the grid one row at a time and never holds it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +55,9 @@ from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum
 from .spectrum import ClockSpectrum, SpectrumKind
 
 MAX_DENSE_DIMENSION = 4096
+# points on one dial row or scan: the int64 gather index (r_n mod N) m must
+# stay below 2^63, and N <= 2^30 keeps it below 2^60
+MAX_DIAL_POINTS = 2**30
 
 
 def _check_dense(spec: ClockSpectrum) -> None:
@@ -79,9 +91,7 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
     that they overflow gives nan rows, not warnings.  Rows are yielded one at
     a time, so a caller that folds them keeps O(z+1) memory.
     """
-    # N = z+1: the gather index (r_n mod N) m must stay below 2^63 in int64,
-    # and N <= 2^30 keeps it below 2^60
-    if zp1 > 2**30:
+    if zp1 > MAX_DIAL_POINTS:
         raise InvalidArgument(f"dial grids capped at z+1 <= 2^30, got {zp1}")
     if not math.isfinite(tau_0):
         raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
@@ -105,12 +115,17 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
         yield row
 
 
-def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
-    """Matrix of time-state amplitudes, column m = |tau_m>, shape (p+1, z+1)."""
+def _outcome_count(spec: ClockSpectrum, z: int) -> int:
+    """z+1 for a dial with z >= p."""
     if z < spec.p:
         raise InvalidArgument(f"need z >= p, got z={z}, p={spec.p}")
+    return int(z) + 1
+
+
+def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
+    """Matrix of time-state amplitudes, column m = |tau_m>, shape (p+1, z+1)."""
+    zp1 = _outcome_count(spec, z)
     _check_dense(spec)
-    zp1 = int(z) + 1
     # fromiter fills the grid row by row, holding one row beside it
     return np.fromiter(_dial_rows(spec, zp1, tau_0), dtype=np.dtype((complex, zp1)),
                        count=spec.dimension)
@@ -159,9 +174,12 @@ class ClockPOVM:
     def weight(self) -> Fraction:
         return Fraction(self.spectrum.dimension, self.z + 1)
 
-    @property
+    @functools.cached_property
     def tau_grid(self) -> np.ndarray:
-        return self.tau_0 + np.arange(self.z + 1) * (self.spectrum.T / (self.z + 1))
+        """The dial times tau_m, built once and read-only."""
+        grid = self.tau_0 + np.arange(self.z + 1) * (self.spectrum.T / (self.z + 1))
+        grid.setflags(write=False)
+        return grid
 
     def element(self, m: int) -> np.ndarray:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
@@ -197,6 +215,14 @@ def evolve(state: TimeState, dt: float) -> TimeState:
     return TimeState(amps, state.tau + float(dt), state.spectrum)
 
 
+def _check_frame(spec: ClockSpectrum, zp1: int, tau_0) -> None:
+    _check_dense(spec)
+    if zp1 > 2**62:
+        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
+    if not math.isfinite(tau_0):
+        raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
+
+
 def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     """F_nk = e^{-2 pi i (t_n - t_k)} (z+1)^-1 sum_m e^{-2 pi i s_nk m/(z+1)}.
 
@@ -206,9 +232,7 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     so the small angle never cancels.  Exact spectra have d = 0, so every
     entry of the sum is exactly 1 or 0.  Costs O((p+1)^2) whatever z is.
     """
-    _check_dense(spec)
-    if zp1 > 2**62:
-        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
+    _check_frame(spec, zp1, tau_0)
     res = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
     q = (res[:, None] - res[None, :] + zp1 // 2) % zp1 - zp1 // 2
     d = (np.zeros(spec.dimension) if spec.has_exact_integers else
@@ -223,23 +247,34 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     return phase * geo
 
 
-def _residual(F: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(F - np.eye(len(F)))).max())
+def _completeness_residual(spec: ClockSpectrum, zp1: int, tau_0) -> float:
+    """||F - I||_2 for the dial POVM with z+1 = zp1 outcomes.
+
+    On exact spectra F = D P D^H, P all-ones inside each residue class of
+    r_n mod (z+1), so F - I has eigenvalues c - 1 and -1 over the classes of
+    size c: the residual is 0 for distinct residues, else max(c_max - 1, 1),
+    exactly.  Other spectra take the eigenvalues of the closed-form F.
+    """
+    if not spec.has_exact_integers:
+        F = _frame(spec, zp1, tau_0)
+        return float(np.abs(np.linalg.eigvalsh(F - np.eye(len(F)))).max())
+    _check_frame(spec, zp1, tau_0)
+    largest = max(Counter(rn % zp1 for rn in spec.r).values())
+    return 0.0 if largest == 1 else float(max(largest - 1, 1))
 
 
 def frame_operator(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
     """F = (p+1)/(z+1) * sum_m |tau_m><tau_m|, summed over m in closed form."""
-    if z < spec.p:
-        raise InvalidArgument(f"need z >= p, got z={z}, p={spec.p}")
-    return _frame(spec, int(z) + 1, tau_0)
+    return _frame(spec, _outcome_count(spec, z), tau_0)
 
 
 def identity_residual(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> float:
     """Operator 2-norm of the frame operator minus the identity.
 
-    Zero (to float accuracy) certifies the POVM resolves the identity.
+    Zero certifies the POVM resolves the identity; on exact spectra the value
+    is exact, on rationalized ones it is good to float accuracy.
     """
-    return _residual(frame_operator(spec, z, tau_0))
+    return _completeness_residual(spec, _outcome_count(spec, z), tau_0)
 
 
 def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
@@ -260,7 +295,7 @@ def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
     if quad_points < 2:
         raise InvalidArgument("need at least 2 quadrature points")
     # the N-point periodic trapezoid over [t_0, t_0+T] is the dial grid with z+1 = N
-    return _residual(_frame(spec, int(quad_points), t_0))
+    return _completeness_residual(spec, int(quad_points), t_0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,24 +357,46 @@ def _overlap_sq_slope(spec: ClockSpectrum, t: float) -> float:
     return 2.0 * (s.conjugate() * ds).real
 
 
+def _scan_overlaps(spec: ClockSpectrum, n_grid: int) -> np.ndarray:
+    """|<t0|t0 + k T/N>| for k = 0..N-1, N = n_grid, in O(N) memory.
+
+    On exact spectra sum_n e^{-2 pi i r_n k/N} is the length-N DFT of the
+    histogram of r_n mod N.  Other spectra fold the float-phase dial rows.
+    """
+    if spec.has_exact_integers:
+        hist = np.bincount(np.array([rn % n_grid for rn in spec.r], dtype=np.int64),
+                           minlength=n_grid)
+        return np.abs(np.fft.fft(hist)) / spec.dimension
+    total = np.zeros(n_grid, dtype=complex)
+    for row in _dial_rows(spec, n_grid, 0.0):
+        total += row
+    return np.abs(total) / math.sqrt(spec.dimension)
+
+
 def first_orthogonal_time(spec: ClockSpectrum, *, samples_per_cycle: int = 32,
                           zero_tol: float = 1e-9) -> float | None:
-    """First dt > 0 with <t0|t0+dt> = 0, found by dense scan plus root polish.
+    """First dt > 0 with <t0|t0+dt> = 0, found by a scan plus root polish.
 
     Returns None when no orthogonal configuration exists within one period
-    (generic spectra need not ever reach one).  The scan density follows the
-    largest phase frequency so no sign structure is missed: near a simple
-    zero |overlap| <= (step/2)*|d overlap/dt| <= pi/samples_per_cycle at the
-    nearest sample, so every candidate below that cut gets polished.  The
-    minimum itself is located as a sign change of d|overlap|^2/dt, which
-    Brent's method pins to machine precision.
+    (generic spectra need not ever reach one).  The scan takes
+    N = max(512, samples_per_cycle (r_p+1)) <= 2^30 samples, so no sign
+    structure is missed: near a simple zero |overlap| <= (step/2)*|d
+    overlap/dt| <= pi/samples_per_cycle at the nearest sample, and every
+    candidate below that cut gets polished.  On exact spectra the samples
+    are one FFT of the residue histogram of r_n mod N; other spectra sum the
+    float-phase dial rows.  The minimum itself is located as a sign change
+    of d|overlap|^2/dt, which Brent's method pins to machine precision.
     """
-    from scipy.optimize import brentq, minimize_scalar  # slow import, only needed here
     if spec.p < 1:
         return None
     n_grid = max(512, samples_per_cycle * (spec.r[-1] + 1))
+    if n_grid > MAX_DIAL_POINTS:
+        raise InvalidArgument(
+            f"orthogonality scans capped at 2^30 points, got {n_grid} = "
+            f"{samples_per_cycle} x (r_p+1)")
+    from scipy.optimize import brentq, minimize_scalar  # slow import, only needed here
     ts = np.linspace(0.0, spec.T, n_grid, endpoint=False)[1:]
-    g = overlap_magnitude(spec, ts)
+    g = _scan_overlaps(spec, n_grid)[1:]
     step = ts[1] - ts[0]
     candidate_cut = 2.0 * math.pi / samples_per_cycle
     # local minima of |overlap|, in time order

@@ -28,6 +28,20 @@ SUM_TOLERANCE = 1e-6
 SAMPLE_CHUNK = 2**20
 
 
+def _read_only_grid(grid) -> np.ndarray:
+    """The dial grid as a read-only float64 array, shared when it is one already.
+
+    Only an array that owns its data is shared: a read-only view could still
+    change through its writable base.
+    """
+    if (isinstance(grid, np.ndarray) and grid.dtype == np.float64
+            and not grid.flags.writeable and grid.flags.owndata):
+        return grid
+    grid = np.array(grid, dtype=float)
+    grid.setflags(write=False)
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Born-rule probabilities over the dial grid."""
@@ -38,9 +52,8 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float)
-        grid = np.array(self.tau_grid, dtype=float)
+        grid = _read_only_grid(self.tau_grid)
         probs.setflags(write=False)
-        grid.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tau_grid", grid)
         if probs.shape != grid.shape or probs.ndim != 1:
@@ -65,9 +78,8 @@ class MeasurementRecord:
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.int64)
-        grid = np.array(self.tau_grid, dtype=float)
+        grid = _read_only_grid(self.tau_grid)
         counts.setflags(write=False)
-        grid.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "tau_grid", grid)
         if counts.sum() != self.shots:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 from collections import Counter
@@ -215,7 +216,7 @@ def test_identity_residual_is_set_by_residue_classes(gaps, extra, tau0):
     if largest == 1:
         assert residual == 0.0
     else:
-        assert residual == pytest.approx(max(largest - 1, 1), abs=1e-12)
+        assert residual == max(largest - 1, 1)
 
 
 def test_identity_residual_beyond_the_dense_grid_cap(nat):
@@ -240,6 +241,19 @@ def test_completeness_never_builds_the_dial_grid(nat, monkeypatch):
         assert frame_operator(spec, spec.r[-1]).shape == (spec.dimension, spec.dimension)
         identity_residual(spec, spec.r[-1], 0.25)
         continuous_identity_residual(spec, 2 * (spec.r[-1] + 1), 0.25)
+
+
+def test_exact_residuals_never_call_the_eigensolver(nat, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact residuals are read off the residue classes")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    spec = rat0621(nat)  # r = (0, 6, 10, 21)
+    assert identity_residual(spec, spec.r[-1], 0.25) == 0.0
+    assert identity_residual(spec, 3, 0.25) == 1.0  # 6 = 10 = 2 mod 4
+    assert identity_residual(build_equally_spaced(255, 1.0, nat), 255, 0.1) == 0.0
+    assert continuous_identity_residual(spec, 2 * (spec.r[-1] + 1), 0.25) == 0.0
+    assert continuous_identity_residual(spec, 4, enforce_nyquist=False) == 1.0
 
 
 def test_identity_residual_failure_witness_family(nat):
@@ -402,6 +416,76 @@ def test_first_orthogonal_time_equally_spaced(nat, p):
     assert t_orth == pytest.approx(spec.T / (p + 1), rel=1e-10)
     ref = first_zero_scan(spec.levels, spec.hbar, spec.T)
     assert t_orth == pytest.approx(ref, rel=1e-6)
+
+
+# captured before the scan became a residue-histogram FFT (exact spectra) and
+# a fold of the dial rows (rationalized spectra); the scan only picks the
+# brackets that Brent's method polishes, so the values must not move a bit
+FIRST_ORTHOGONAL_PINS = [
+    ("equally-spaced", 1, "0x1.0000000000000p+0"),
+    ("equally-spaced", 2, "0x1.5555555555556p-1"),
+    ("equally-spaced", 7, "0x1.0000000000000p-2"),
+    ("equally-spaced", 63, "0x1.0000000000000p-5"),
+    ("equally-spaced", 255, "0x1.0000000000000p-7"),
+    ("rational", [(5, 3), (7, 2)], None),                      # r = (0, 6, 10, 21)
+    ("rational", [(3, 2), (5, 2)], "0x1.0c152382d7366p+1"),    # r = (0, 2, 3, 5)
+    ("rationalized", ([0.0, 1.0, math.sqrt(2)], 1e-2), None),
+    ("rationalized", ([0.0, 1.0, math.sqrt(2), math.sqrt(3)], 1e-2), None),
+    # (1 + e^{-it}) (1 + e^{-i sqrt(2) t}) vanishes first at t = pi/sqrt(2)
+    ("rationalized", ([0.0, 1.0, math.sqrt(2), 1.0 + math.sqrt(2)], 1e-3),
+     "0x1.1c5831add62e5p+1"),
+]
+
+
+def _pinned_spectrum(kind, arg, consts):
+    if kind == "equally-spaced":
+        return build_equally_spaced(arg, 2.0, consts)
+    if kind == "rational":
+        return build_rational([RationalRatio(a, b) for a, b in arg], 1.0, consts)
+    return rationalized_spectrum(*arg, consts)
+
+
+@pytest.mark.parametrize("kind,arg,pinned", FIRST_ORTHOGONAL_PINS)
+def test_first_orthogonal_time_is_pinned(nat, kind, arg, pinned):
+    spec = _pinned_spectrum(kind, arg, nat)
+    t_orth = first_orthogonal_time(spec)
+    assert t_orth == (None if pinned is None else float.fromhex(pinned))
+    # the oracle scans a window holding the first zero; at large p a whole
+    # period would need a (p+1) x 400001 phase matrix
+    window = spec.T if spec.p < 63 else 4 * spec.T / spec.dimension
+    ref = first_zero_scan(spec.levels, spec.hbar, window,
+                          n_grid=4001 if spec.p >= 63 else 200001)
+    if t_orth is None:
+        # the crude oracle may report a shallow dip; it must not be a zero
+        assert ref is None or abs(np.exp(-1j * spec.levels * ref / spec.hbar).mean()) > 1e-9
+    else:
+        assert t_orth == pytest.approx(ref, rel=1e-6)
+
+
+def test_first_orthogonal_time_scan_memory_is_linear(nat):
+    spec = build_equally_spaced(255, 1.0, nat)
+    first_orthogonal_time(spec)  # imports scipy.optimize and numpy.fft outside the trace
+    tracemalloc.start()
+    try:
+        t_orth = first_orthogonal_time(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert t_orth == pytest.approx(spec.T / spec.dimension, rel=1e-12)
+
+
+def test_first_orthogonal_time_refuses_scans_past_the_cap():
+    # 32 (r_p + 1) = 2^30 + 32 samples; refused before anything is allocated
+    spec = _integer_spectrum((0, 2**25))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgument, match="2\\^30"):
+            first_orthogonal_time(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_first_orthogonal_time_rational(nat):

@@ -175,6 +175,26 @@ def test_chunked_sorted_sampling_matches_one_unsorted_draw(nat):
     assert np.array_equal(rec.counts, ref)
 
 
+def test_one_measurement_shares_one_tau_grid(nat):
+    spec = rat0621(nat)
+    povm = ClockPOVM(spec, 40, 0.2)
+    grid = povm.tau_grid
+    assert povm.tau_grid is grid
+    assert grid.dtype == np.float64 and not grid.flags.writeable
+    dist = outcome_probabilities(time_state(spec, float(grid[3])), povm)
+    rec = with_estimate(sample(dist, 1000, seed=5))
+    assert dist.tau_grid is grid and rec.tau_grid is grid
+    # a writable grid, or a read-only view of one, is still copied
+    taus = np.linspace(0.0, 1.0, 4, endpoint=False)
+    view = taus.view()
+    view.setflags(write=False)
+    for given in (taus, view):
+        copy = OutcomeDistribution(np.full(4, 0.25), given, 1.0).tau_grid
+        assert copy is not given and not copy.flags.writeable
+        taus[0] = 0.5
+        assert copy[0] == 0.0
+        taus[0] = 0.0
+
 
 def test_sample_deterministic_distribution(nat):
     spec = build_equally_spaced(4, 1.0, nat)
