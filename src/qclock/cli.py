@@ -13,7 +13,8 @@ resolved configuration; stochastic runs carry their seed.  Floats are printed
 as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
 back to the same bits.  Usage errors exit with status 2; domain errors exit 1
 after printing a structured message naming the violated precondition (e.g.
-``schwarzschild-violation``).
+``schwarzschild-violation``), and so does a file that cannot be read or
+written, whose message names the path.
 """
 
 from __future__ import annotations
@@ -205,10 +206,7 @@ def cmd_measure(args) -> int:
         "estimate": record.estimate,
         "estimate_error": record.estimate_error,
     }
-    config = {"command": "measure", "spectrum": args.spectrum, "z": z,
-              "tau0": args.tau0, "state": args.state, "shots": args.shots,
-              "seed": args.seed}
-    _emit(_document(args, config, result), args.out)
+    # the CSV goes first, so a path that cannot be written leaves stdout empty
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -216,6 +214,10 @@ def cmd_measure(args) -> int:
             bins = zip(result["tau_grid"], result["counts"])
             writer.writerows((m, tau_m, count, count / record.shots)
                              for m, (tau_m, count) in enumerate(bins))
+    config = {"command": "measure", "spectrum": args.spectrum, "z": z,
+              "tau0": args.tau0, "state": args.state, "shots": args.shots,
+              "seed": args.seed}
+    _emit(_document(args, config, result), args.out)
     return 0
 
 
@@ -361,9 +363,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:  # a spectrum, constants or output file that cannot be opened
+        error = QClockError(f"cannot open {exc.filename!r}: {exc.strerror}"
+                            if exc.filename else str(exc))
     except QClockError as exc:
-        _write({"error": exc.code, "message": str(exc)}, sys.stderr)
-        return 1
+        error = exc
+    _write({"error": error.code, "message": str(error)}, sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -35,10 +35,15 @@ swamp the 1e-12 completeness residuals this module is meant to certify at
 large r_p.  Spectra without exact integers (rationalized approximations) use
 the energies directly; their residual IS the quantity of interest.
 
+On the equally spaced dial with z = p the time states are the DFT basis up
+to an offset phase u_n per level, so sum_m f_m |tau_m><tau_m| is the
+circulant u_n conj(u_k) c[(n-k) mod (p+1)] with c = fft(f)/(p+1): the
+Hermitian time operator and its energy shifts are one length-(p+1) FFT.
+
 All operations are pure; (p+1) x (p+1) matrices and the dense dial grid are
 capped at dimension p+1 <= 4096, and dial rows and scans at 2^30 points.
-The dense grid is built only on request (grid_amplitudes, the Hermitian time
-operator); measurement folds the grid one row at a time and never holds it.
+The dense grid is built only on request (grid_amplitudes); measurement folds
+the grid one row at a time and never holds it.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ MAX_DENSE_DIMENSION = 4096
 # points on one dial row or scan: the int64 gather index (r_n mod N) m must
 # stay below 2^63, and N <= 2^30 keeps it below 2^60
 MAX_DIAL_POINTS = 2**30
+# |overlap| below which a polished minimum counts as an orthogonal dial time
+_ZERO_TOL = 1e-9
 
 
 def _check_dense(spec: ClockSpectrum) -> None:
@@ -223,6 +230,17 @@ def _check_frame(spec: ClockSpectrum, zp1: int, tau_0) -> None:
         raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
 
 
+def _offset_phases(spec: ClockSpectrum, tau_0) -> np.ndarray:
+    """u_n conj(u_k) with u_n = e^{-2 pi i t_n}, t_n the tau_0 offset in turns.
+
+    The diagonal is exactly 1, so the phases never scale a diagonal entry.
+    """
+    u = np.exp(-2j * math.pi * _turns_single(spec, tau_0))
+    phase = u[:, None] * u.conj()
+    np.fill_diagonal(phase, 1.0)
+    return phase
+
+
 def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     """F_nk = e^{-2 pi i (t_n - t_k)} (z+1)^-1 sum_m e^{-2 pi i s_nk m/(z+1)}.
 
@@ -241,10 +259,7 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     angle = (q + dd) / zp1
     geo = np.divide(np.expm1(-2j * math.pi * dd), zp1 * np.expm1(-2j * math.pi * angle),
                     out=np.ones(q.shape, dtype=complex), where=angle != 0)
-    u = np.exp(-2j * math.pi * _turns_single(spec, tau_0))
-    phase = u[:, None] * u.conj()
-    np.fill_diagonal(phase, 1.0)
-    return phase * geo
+    return _offset_phases(spec, tau_0) * geo
 
 
 def _completeness_residual(spec: ClockSpectrum, zp1: int, tau_0) -> float:
@@ -310,19 +325,32 @@ class TimeOperator:
         return np.linalg.eigvalsh(self.matrix)
 
 
+def _dial_circulant(spec: ClockSpectrum, tau_0, f) -> np.ndarray:
+    """sum_m f_m |tau_m><tau_m| on the z = p dial of an equally spaced spectrum.
+
+    With r_n = n, <E_n|tau_m> = u_n e^{-2 pi i n m/(p+1)} / sqrt(p+1), so
+    entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)], c = fft(f)/(p+1):
+    one length-(p+1) FFT and a gather, O((p+1)^2) instead of a grid product.
+    """
+    _check_dense(spec)
+    c = np.fft.fft(f) / spec.dimension
+    n = np.arange(spec.dimension)
+    # n - k lies in [-p, p], and a negative index wraps mod p+1
+    return _offset_phases(spec, tau_0) * c[n[:, None] - n]
+
+
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
     """tau_hat = sum_m tau_m |tau_m><tau_m| for the equally-spaced clock.
 
     Only the equally-spaced spectrum admits orthogonal time states, so only
-    there does the dial observable collapse to a Hermitian operator.
+    there does the dial observable collapse to a Hermitian operator.  The
+    dial times are ClockPOVM(spec, p, tau_0).tau_grid.
     """
     if spec.kind is not SpectrumKind.EQUALLY_SPACED:
         raise UnsupportedSpectrum(
             "the Hermitian time operator exists only for equally-spaced spectra")
-    z = spec.p
-    V = grid_amplitudes(spec, z, tau_0)
-    taus = tau_0 + np.arange(z + 1) * (spec.T / (z + 1))
-    matrix = (V * taus[None, :]) @ V.conj().T
+    taus = ClockPOVM(spec, spec.p, tau_0).tau_grid
+    matrix = _dial_circulant(spec, tau_0, taus)
     matrix = 0.5 * (matrix + matrix.conj().T)  # scrub rounding asymmetry
     return TimeOperator(matrix, taus, spec)
 
@@ -335,9 +363,8 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
     raises.  Either way tau_hat generates energy shifts.
     """
     spec = op.spectrum
-    V = grid_amplitudes(spec, spec.p, float(op.tau_grid[0]))
     phases = np.exp(-1j * delta_e * op.tau_grid / spec.hbar)
-    return (V * phases[None, :]) @ V.conj().T
+    return _dial_circulant(spec, float(op.tau_grid[0]), phases)
 
 
 def overlap_magnitude(spec: ClockSpectrum, dt):
@@ -373,8 +400,8 @@ def _scan_overlaps(spec: ClockSpectrum, n_grid: int) -> np.ndarray:
     return np.abs(total) / math.sqrt(spec.dimension)
 
 
-def first_orthogonal_time(spec: ClockSpectrum, *, samples_per_cycle: int = 32,
-                          zero_tol: float = 1e-9) -> float | None:
+def first_orthogonal_time(spec: ClockSpectrum, *,
+                          samples_per_cycle: int = 32) -> float | None:
     """First dt > 0 with <t0|t0+dt> = 0, found by a scan plus root polish.
 
     Returns None when no orthogonal configuration exists within one period
@@ -413,6 +440,6 @@ def first_orthogonal_time(spec: ClockSpectrum, *, samples_per_cycle: int = 32,
                 lambda t: overlap_magnitude(spec, t) ** 2,
                 bounds=(a, b), method="bounded", options={"xatol": 1e-15 * spec.T})
             t_min = float(res.x)
-        if overlap_magnitude(spec, t_min) < zero_tol:
+        if overlap_magnitude(spec, t_min) < _ZERO_TOL:
             return t_min
     return None

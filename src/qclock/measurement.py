@@ -137,14 +137,14 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
                              tau_grid=dist.tau_grid, T=dist.T)
 
 
-def circular_mean(record: MeasurementRecord, T: float | None = None) -> tuple[float, float]:
+def circular_mean(record: MeasurementRecord) -> tuple[float, float]:
     """Circular mean of the observed dial times and its standard error.
 
     Returns (estimate mod T, standard error).  The error is the circular
     standard deviation sqrt(-2 ln Rbar) scaled to time units and divided by
     sqrt(shots).
     """
-    T = record.T if T is None else float(T)
+    T = record.T
     with np.errstate(over="ignore", invalid="ignore"):
         angles = 2.0 * math.pi * record.tau_grid / T
         resultant = np.sum(record.counts * np.exp(1j * angles))
@@ -158,14 +158,14 @@ def circular_mean(record: MeasurementRecord, T: float | None = None) -> tuple[fl
     return estimate, sigma / math.sqrt(record.shots)
 
 
-def estimate_time(record: MeasurementRecord, T: float | None = None) -> float:
+def estimate_time(record: MeasurementRecord) -> float:
     """Point estimate of the dial time: the circular mean of the record."""
-    return circular_mean(record, T)[0]
+    return circular_mean(record)[0]
 
 
-def with_estimate(record: MeasurementRecord, T: float | None = None) -> MeasurementRecord:
+def with_estimate(record: MeasurementRecord) -> MeasurementRecord:
     """A copy of the record with the circular estimate fields filled in."""
-    est, err = circular_mean(record, T)
+    est, err = circular_mean(record)
     return MeasurementRecord(seed=record.seed, shots=record.shots,
                              counts=record.counts, tau_grid=record.tau_grid,
                              T=record.T, estimate=est, estimate_error=err)

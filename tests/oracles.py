@@ -59,6 +59,13 @@ def gram_matrix_naive(levels, hbar, taus) -> np.ndarray:
     return V.conj().T @ V
 
 
+def dial_operator_naive(levels, hbar, taus, f) -> np.ndarray:
+    """sum_m f_m |tau_m><tau_m| as V diag(f) V^H, V from float phases exp(-i E_n tau_m/hbar)."""
+    levels = np.asarray(levels)
+    V = np.exp(-1j * np.outer(levels, taus) / hbar) / math.sqrt(len(levels))
+    return (V * np.asarray(f)[None, :]) @ V.conj().T
+
+
 def first_zero_scan(levels, hbar, T, n_grid=400001, threshold=1e-3):
     """Crude first orthogonalization time: dense scan plus golden refine."""
     ts = np.linspace(0.0, T, n_grid, endpoint=False)[1:]

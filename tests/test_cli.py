@@ -264,6 +264,29 @@ def test_bad_input_exits_1_with_json_error(tmp_path, capsys, argv, kind):
     assert json.loads(err)["error"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["check-identity", "--spectrum", "missing.spec"], "missing.spec"),
+    (["build", "--kind", "equally-spaced", "--p", "3", "--T", "1",
+      "--spectrum-out", "nodir/x.spec"], "nodir/x.spec"),
+    (["bounds", "--lc", "1", "--p", "4", "--T", "100", "--constants", "missing.txt"],
+     "missing.txt"),
+    (["measure", "--spectrum", "eq.spec", "--state", "t:0.3", "--shots", "10",
+      "--seed", "1", "--csv", "nodir/h.csv"], "nodir/h.csv"),
+    (["check-identity", "--spectrum", "eq.spec", "--out", "nodir/x.json"], "nodir/x.json"),
+], ids=["missing-spectrum", "spectrum-out-dir", "missing-constants", "csv-dir", "out-dir"])
+def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, monkeypatch, argv, path):
+    monkeypatch.chdir(tmp_path)
+    build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced", "--p", "3", "--T", "1")
+    # bounds needs SI units for its constants file; the rest run in natural units
+    units = [] if argv[0] == "bounds" else ["--units", "natural"]
+    code, out, err = run_cli(capsys, *argv, *units)
+    assert code == 1
+    assert out == ""
+    document = json.loads(err)
+    assert document["error"] == "qclock-error"
+    assert repr(path) in document["message"]
+
+
 def test_non_finite_result_is_an_error_not_a_json_token(capsys):
     code, out, err = run_cli(capsys, "bounds", "--lc", "1", "--mass", "1e-320",
                              "--p", "4", "--T", "100", "--units", "natural")

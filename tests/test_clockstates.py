@@ -18,8 +18,8 @@ from qclock import (ClockPOVM, ClockSpectrum, IncompatibleStates,
                     identity_residual, overlap, rationalized_spectrum,
                     time_state)
 
-from oracles import (first_zero_scan, frame_residual_naive, gram_matrix_naive,
-                     random_rational_fracs)
+from oracles import (dial_operator_naive, first_zero_scan, frame_residual_naive,
+                     gram_matrix_naive, random_rational_fracs)
 
 
 def rat0621(consts=None):
@@ -356,6 +356,47 @@ def test_time_operator_generates_energy_shifts(nat):
 def test_time_operator_requires_equal_spacing(nat):
     with pytest.raises(UnsupportedSpectrum):
         hermitian_time_operator(rat0621(nat), 0.0)
+
+
+def shift_phases(spec, taus, delta_e):
+    return np.exp(-1j * delta_e * np.asarray(taus) / spec.hbar)
+
+
+@pytest.mark.parametrize("units", ["nat", "si"])
+@pytest.mark.parametrize("p", [1, 2, 7, 63, 255])
+def test_time_operator_matches_float_phase_oracle(request, units, p):
+    spec = build_equally_spaced(p, 3.7, request.getfixturevalue(units))
+    tau0 = 0.37 * spec.T
+    op = hermitian_time_operator(spec, tau0)
+    taus = tau0 + np.arange(p + 1) * (spec.T / (p + 1))
+    ref = dial_operator_naive(spec.levels, spec.hbar, taus, taus)
+    assert np.max(np.abs(op.matrix - ref)) < 1e-12 * spec.T
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
+    grid = ClockPOVM(spec, p, tau0).tau_grid
+    assert op.tau_grid.tobytes() == grid.tobytes()
+    assert not op.tau_grid.flags.writeable
+    for delta_e in (2 * math.pi * spec.hbar / spec.T, 0.3 * spec.hbar / spec.T):
+        U = energy_shift_unitary(op, delta_e)
+        phases = shift_phases(spec, taus, delta_e)
+        assert np.max(np.abs(U - dial_operator_naive(spec.levels, spec.hbar, taus,
+                                                     phases))) < 1e-12
+
+
+def test_time_operator_never_builds_the_dial_grid(nat, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the z = p operators are one FFT, not a dial grid")
+
+    spec = build_equally_spaced(7, 1.3, nat)
+    taus = 0.2 + np.arange(8) * (spec.T / 8)
+    delta_e = 0.7 * spec.hbar / spec.T
+    monkeypatch.setattr(clockstates, "grid_amplitudes", forbidden)
+    monkeypatch.setattr(clockstates, "_dial_rows", forbidden)
+    op = hermitian_time_operator(spec, 0.2)
+    U = energy_shift_unitary(op, delta_e)
+    assert np.max(np.abs(op.matrix - dial_operator_naive(
+        spec.levels, spec.hbar, taus, taus))) < 1e-12 * spec.T
+    assert np.max(np.abs(U - dial_operator_naive(
+        spec.levels, spec.hbar, taus, shift_phases(spec, taus, delta_e)))) < 1e-12
 
 
 # --- POVM object ----------------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
                     InvalidDistribution, MeasurementRecord, NoEstimate,
@@ -12,7 +15,8 @@ from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
                     evolve, measurement, outcome_probabilities,
                     rationalized_spectrum, sample, time_state, with_estimate)
 
-from oracles import circular_mean_naive, outcome_probabilities_naive
+from oracles import (circular_mean_naive, outcome_probabilities_naive,
+                     random_rational_fracs)
 
 
 def test_grid_state_gives_kronecker_delta(nat):
@@ -80,6 +84,21 @@ def test_statistics_shift_covariance(nat, rng):
     before = outcome_probabilities(state, povm).probs
     after = outcome_probabilities(evolve(state, spec.T / (z + 1)), povm).probs
     assert np.max(np.abs(after - np.roll(before, 1))) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 5), extra=st.integers(0, 40),
+       tau0=st.floats(-2.0, 2.0), t=st.floats(-2.0, 2.0))
+def test_statistics_shift_covariance_on_exact_spectra(nat, seed, p, extra, tau0, t):
+    # evolving by the exact T/(z+1) rotates the outcome distribution by one bin
+    fracs = random_rational_fracs(np.random.default_rng(seed), p)
+    spec = build_rational([RationalRatio.from_fraction(f) for f in fracs], 1.0, nat)
+    z = spec.r[-1] + extra
+    povm = ClockPOVM(spec, z, tau0 * spec.T)
+    state = time_state(spec, t * spec.T)
+    before = outcome_probabilities(state, povm).probs
+    after = outcome_probabilities(evolve(state, Fraction(spec.T) / (z + 1)), povm).probs
+    assert np.max(np.abs(after - np.roll(before, 1))) < 1e-12
 
 
 def energy_state(spec, n):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import (CapacityError, ClockSpectrum, InvalidArgument,
                     RationalRatio, SpectrumKind, build_equally_spaced,
-                    build_rational, max_integer, rationalize,
-                    rationalized_spectrum, read_spectrum,
+                    build_rational, codata2018, max_integer, natural_units,
+                    rationalize, rationalized_spectrum, read_spectrum,
                     simplest_fraction_between, write_spectrum)
 from qclock.spectrum import dump_spectrum, parse_spectrum
 
@@ -219,6 +221,39 @@ def test_roundtrip_rationalized(tmp_path, nat):
     assert back.r == spec.r
     assert abs(back.T - spec.T) <= 1e-15 * spec.T
     assert np.array_equal(back.levels, spec.levels)
+    assert back.epsilon == spec.epsilon
+
+
+@st.composite
+def any_spectrum(draw):
+    """An equally spaced, rational or rationalized spectrum in natural or SI units."""
+    consts = draw(st.sampled_from([natural_units(), codata2018()]))
+    kind = draw(st.sampled_from(list(SpectrumKind)))
+    if kind is SpectrumKind.EQUALLY_SPACED:
+        return build_equally_spaced(draw(st.integers(1, 64)),
+                                    draw(st.floats(1e-12, 1e6)), consts)
+    if kind is SpectrumKind.RATIONAL:
+        fracs = random_rational_fracs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                      draw(st.integers(1, 6)))
+        return build_rational([RationalRatio.from_fraction(f) for f in fracs],
+                              draw(st.floats(1e-3, 1e3)) * consts.hbar, consts)
+    # ratios E_n/E_1 at least 0.25 apart stay distinct at eps <= 0.1
+    steps = draw(st.lists(st.floats(0.25, 3.0), max_size=3))
+    ratios = np.cumsum([1.0, *steps])
+    levels = np.concatenate([[0.0], draw(st.floats(0.1, 10.0)) * consts.hbar * ratios])
+    return rationalized_spectrum(levels, draw(st.sampled_from([1e-1, 1e-2, 1e-3])),
+                                 consts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=any_spectrum())
+def test_spectrum_files_round_trip_bit_for_bit(spec):
+    consts = natural_units() if spec.hbar == 1.0 else codata2018()
+    back = parse_spectrum(dump_spectrum(spec), consts)
+    assert back.same_as(spec)
+    assert back.r == spec.r
+    assert back.T.hex() == spec.T.hex()
+    assert back.levels.tobytes() == spec.levels.tobytes()
     assert back.epsilon == spec.epsilon
 
 
