@@ -32,6 +32,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (DegenerateClock, InvalidArgument, QClockError,
                      SchwarzschildViolation)
 from .spectrum import ClockSpectrum, SpectrumKind
@@ -130,8 +132,13 @@ def speed_limit_bound(spec: ClockSpectrum) -> float:
     """
     if spec.dimension < 2:
         raise DegenerateClock("a single-level clock never reaches an orthogonal state")
-    e_bar = float(spec.levels.mean())
-    d_e = float(spec.levels.std())
+    with np.errstate(over="ignore"):
+        e_bar = float(spec.levels.mean())
+        d_e = float(spec.levels.std())
+    # an overflowed spread would read as an infinitely fast clock
+    if not (math.isfinite(e_bar) and math.isfinite(d_e)):
+        raise InvalidArgument(f"energy moments overflow float64 "
+                              f"(top level {float(spec.levels[-1])!r})")
     if d_e == 0.0:
         raise DegenerateClock("zero energy spread")
     h = spec.hbar

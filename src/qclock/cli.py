@@ -11,10 +11,14 @@ sweep           CSV sweep of the bounds over one parameter
 Every JSON document carries the tool version, unit mode, and the fully
 resolved configuration; stochastic runs carry their seed.  Floats are printed
 as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
-back to the same bits.  Usage errors exit with status 2; domain errors exit 1
-after printing a structured message naming the violated precondition (e.g.
-``schwarzschild-violation``), and so does a file that cannot be read or
-written, whose message names the path.
+back to the same bits.  Each JSON document is the text of
+``json.dump(document, sort_keys=True, indent=2)``, streamed from numpy slices
+so that long records never become one string, and a document holding nan or
+inf is refused before any of it is written.  The ``measure`` CSV is the text
+``csv.writer`` would write, CRLF lines included.  Usage errors exit with
+status 2; domain errors exit 1 after printing a structured message naming the
+violated precondition (e.g. ``schwarzschild-violation``), and so does a file
+that cannot be read or written, whose message names the path.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,12 +45,57 @@ from .units import resolve_constants
 
 # --- deterministic JSON: sorted keys, two-space indent, repr floats ----------
 
+# values per slice when an array or CSV is written: memory stays bounded by the
+# slice, not by the document
+_SLICE = 4096
+
+
+def _check_finite(value) -> None:
+    """Refuse nan and inf anywhere in a document, before any of it is written."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _check_finite(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(item)
+    elif isinstance(value, np.ndarray):
+        if not np.isfinite(value).all():
+            raise QClockError("non-finite result has no JSON form")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise QClockError(f"non-finite result has no JSON form: {value!r}")
+
+
+def _write_value(value, fh, pad: str) -> None:
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n" + inner
+        for key in sorted(value):
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            _write_value(value[key], fh, inner)
+            sep = ",\n" + inner
+        fh.write(f"\n{pad}}}")
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "if":
+        sep = "[\n" + inner
+        for start in range(0, value.size, _SLICE):
+            fh.write(sep + (",\n" + inner).join(map(repr, value[start:start + _SLICE].tolist())))
+            sep = ",\n" + inner
+        fh.write(f"\n{pad}]" if value.size else "[]")
+    else:
+        # a JSON string never holds a raw newline, so every newline is indentation
+        text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+        fh.write(text.replace("\n", "\n" + pad))
+
+
 def _write(document: dict, fh) -> None:
-    """Stream one JSON document to an open text file, refusing nan and inf."""
-    try:
-        json.dump(document, fh, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise QClockError(f"non-finite result has no JSON form: {exc}") from exc
+    """Stream one JSON document to an open text file, refusing nan and inf.
+
+    For dicts with str keys, the text is that of ``json.dump(document, fh,
+    sort_keys=True, indent=2)`` plus a newline; 1-D integer and float numpy
+    arrays are written as lists, one slice at a time.  Every value is checked before the first write, so a
+    refused document leaves nothing behind.
+    """
+    _check_finite(document)
+    _write_value(document, fh, "")
     fh.write("\n")
 
 
@@ -69,10 +119,17 @@ def _document(args, config: dict, result: dict) -> dict:
 
 # --- shared argument plumbing ------------------------------------------------
 
+def _path(text: str) -> str:
+    """A file path argument; open() cannot take one holding a NUL character."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot hold a NUL character")
+    return text
+
+
 def _add_units_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--units", choices=("si", "natural"), default="si",
                         help="unit mode (default si, CODATA 2018)")
-    parser.add_argument("--constants", metavar="FILE", default=None,
+    parser.add_argument("--constants", type=_path, metavar="FILE", default=None,
                         help="key=value constants file overriding the defaults "
                              "(or set QCLOCK_CONSTANTS)")
 
@@ -186,6 +243,24 @@ def _state_from_flag(text: str, spec: ClockSpectrum, povm: ClockPOVM):
     return time_state(spec, number)
 
 
+def _write_histogram(record, path: str) -> None:
+    """The csv.writer text of rows (m, tau_m, count, count/shots), slice by slice.
+
+    Lines end in CRLF, the csv default dialect; no number spelling needs
+    quoting.  Only a few distinct counts occur, so each frequency is spelled once.
+    """
+    counts, taus = record.counts, record.tau_grid
+    frequency = {k: repr(k / record.shots) for k in np.unique(counts).tolist()}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("m,tau_m,count,frequency\r\n")
+        for start in range(0, counts.size, _SLICE):
+            stop = start + _SLICE
+            fh.write("".join(
+                f"{m},{tau!r},{k},{frequency[k]}\r\n"
+                for m, tau, k in zip(range(start, stop), taus[start:stop].tolist(),
+                                     counts[start:stop].tolist())))
+
+
 def cmd_measure(args) -> int:
     consts = _constants_for(args)
     spec = read_spectrum(args.spectrum, consts)
@@ -201,19 +276,14 @@ def cmd_measure(args) -> int:
     result = {
         "seed": record.seed,
         "shots": record.shots,
-        "counts": record.counts.tolist(),
-        "tau_grid": record.tau_grid.tolist(),
+        "counts": record.counts,
+        "tau_grid": record.tau_grid,
         "estimate": record.estimate,
         "estimate_error": record.estimate_error,
     }
     # the CSV goes first, so a path that cannot be written leaves stdout empty
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "tau_m", "count", "frequency"])
-            bins = zip(result["tau_grid"], result["counts"])
-            writer.writerows((m, tau_m, count, count / record.shots)
-                             for m, (tau_m, count) in enumerate(bins))
+        _write_histogram(record, args.csv)
     config = {"command": "measure", "spectrum": args.spectrum, "z": z,
               "tau0": args.tau0, "state": args.state, "shots": args.shots,
               "seed": args.seed}
@@ -304,30 +374,32 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated energies starting at 0")
     p_build.add_argument("--epsilon", type=float, default=None,
                          help="rational approximation tolerance")
-    p_build.add_argument("--spectrum-out", required=True, metavar="FILE")
-    p_build.add_argument("--out", default=None, help="JSON summary path (default stdout)")
+    p_build.add_argument("--spectrum-out", type=_path, required=True, metavar="FILE")
+    p_build.add_argument("--out", type=_path, default=None,
+                         help="JSON summary path (default stdout)")
     _add_units_flags(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_check = sub.add_parser("check-identity", help="POVM completeness residual")
-    p_check.add_argument("--spectrum", required=True, metavar="FILE")
+    p_check.add_argument("--spectrum", type=_path, required=True, metavar="FILE")
     p_check.add_argument("--z", type=int, default=None,
                          help="z+1 time states (default r_max, i.e. z+1 = r_max+1)")
     p_check.add_argument("--tau0", type=float, default=0.0)
-    p_check.add_argument("--out", default=None)
+    p_check.add_argument("--out", type=_path, default=None)
     _add_units_flags(p_check)
     p_check.set_defaults(func=cmd_check_identity)
 
     p_meas = sub.add_parser("measure", help="simulate a seeded measurement run")
-    p_meas.add_argument("--spectrum", required=True, metavar="FILE")
+    p_meas.add_argument("--spectrum", type=_path, required=True, metavar="FILE")
     p_meas.add_argument("--z", type=int, default=None)
     p_meas.add_argument("--tau0", type=float, default=0.0)
     p_meas.add_argument("--state", required=True,
                         help="taum:K (grid state), energy:N, or t:F (seconds)")
     p_meas.add_argument("--shots", type=int, required=True)
     p_meas.add_argument("--seed", type=int, required=True)
-    p_meas.add_argument("--out", default=None)
-    p_meas.add_argument("--csv", default=None, help="optional histogram CSV path")
+    p_meas.add_argument("--out", type=_path, default=None)
+    p_meas.add_argument("--csv", type=_path, default=None,
+                        help="optional histogram CSV path")
     _add_units_flags(p_meas)
     p_meas.set_defaults(func=cmd_measure)
 
@@ -338,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inertial mass in kg (default: mrest)")
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--T", type=float, default=None)
-        sp.add_argument("--spectrum", default=None, metavar="FILE")
+        sp.add_argument("--spectrum", type=_path, default=None, metavar="FILE")
         sp.add_argument("--z", type=int, default=None)
         sp.add_argument("--theta", type=float, default=None,
                         help="operational time in s (default: T)")
@@ -346,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="evaluate every relativistic limit")
     add_bounds_flags(p_bounds)
-    p_bounds.add_argument("--out", default=None)
+    p_bounds.add_argument("--out", type=_path, default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of the bounds over one parameter")
     add_bounds_flags(p_sweep)
     p_sweep.add_argument("--sweep", required=True, metavar="PARAM:MIN:MAX:STEPS")
-    p_sweep.add_argument("--out-csv", required=True, metavar="FILE")
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out-csv", type=_path, required=True, metavar="FILE")
+    p_sweep.add_argument("--out", type=_path, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

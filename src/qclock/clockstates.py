@@ -83,8 +83,11 @@ def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
     if not math.isfinite(tau):
         raise InvalidArgument(f"dial time must be finite, got {tau!r}")
     if spec.has_exact_integers:
+        # (r_n x) mod 1 on the numerators; int true division rounds correctly,
+        # so each turn is float((r_n x) % 1) without a Fraction per level
         x = Fraction(tau) / Fraction(spec.T)
-        return np.array([float((rn * x) % 1) for rn in spec.r])
+        num, den = x.numerator, x.denominator
+        return np.array([rn * num % den / den for rn in spec.r])
     return np.mod(spec.levels * (float(tau) / (2.0 * math.pi * spec.hbar)), 1.0)
 
 

@@ -118,6 +118,8 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
     """Inverse-CDF sampling; identical (dist, shots, seed) gives identical counts."""
     if shots < 1:
         raise InvalidArgument(f"shots must be >= 1, got {shots}")
+    if seed < 0:  # PCG64 seeds are non-negative integers
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     total = float(dist.probs.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise InvalidDistribution(

@@ -126,3 +126,9 @@ def random_rational_fracs(rng, p, den_max=9, max_step=3):
         fracs.append(frac)
         current = frac
     return fracs
+
+
+def turns_fraction(r, T, tau):
+    """Dial phase in turns, (r_n tau/T) mod 1, with one Fraction per level."""
+    x = Fraction(tau) / Fraction(T)
+    return np.array([float((rn * x) % 1) for rn in r])

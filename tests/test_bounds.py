@@ -147,6 +147,14 @@ def test_speed_limit_energy_scaling(nat):
                                                     rel=1e-14)
 
 
+def test_speed_limit_refuses_overflowing_moments(si):
+    # levels near 1e154 J: their squares overflow, and an infinite spread
+    # used to drop out of the max as a zero time
+    spec = build_equally_spaced(2166, 1.368500197475425e-185, si)
+    with pytest.raises(InvalidArgument, match="overflow"):
+        speed_limit_bound(spec)
+
+
 def test_speed_limit_below_first_orthogonal_time(nat, rng):
     for _ in range(25):
         p = int(rng.integers(1, 7))

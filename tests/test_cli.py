@@ -3,10 +3,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qclock import QClockError, cli, read_spectrum, natural_units
 from qclock.cli import _write, main
@@ -393,19 +397,23 @@ def test_measure_with_overflowing_dial_phases_writes_nothing(tmp_path, capsys):
     assert json.loads(err)["error"] == "invalid-distribution"
 
 
-# SHA-256 of the measure document on stdout, captured while outcome_probabilities
-# still built the dense dial grid and sample searched unsorted draws: a change to
-# the dial kernel or the sampler must leave seeded records as they were
+# SHA-256 of the measure document on stdout and of its --csv histogram, captured
+# while outcome_probabilities still built the dense dial grid and sample searched
+# unsorted draws (the CSV: while csv.writer still spelled every row): a change to
+# the dial kernel, the sampler or the writers must leave seeded records as they were
 PINNED_MEASURE_DIGESTS = {
     "rational-default-z": (
         ["--spectrum", "rat.spec", "--state", "t:0.3"],
-        "30f5d1cc2b5f27d754be858b33ca8cea93944ecc8296aa32bccd30ebe910f967"),
+        "30f5d1cc2b5f27d754be858b33ca8cea93944ecc8296aa32bccd30ebe910f967",
+        "911d5325a8b63ff06050ea6070e53695f7d504a40707415f847f968346146c72"),
     "rational-tau0": (
         ["--spectrum", "rat.spec", "--state", "t:0.3", "--tau0", "0.123"],
-        "3525d860409d6c0137bd1c6127536ad418abcc6746965f88334e370d116ef7cd"),
+        "3525d860409d6c0137bd1c6127536ad418abcc6746965f88334e370d116ef7cd",
+        "54dcb8bd9dc45dd9dd2e11bafef7c2b09d46484e94522851b730504b49341c46"),
     "equally-spaced-z-1e5": (
         ["--spectrum", "eq.spec", "--state", "t:0.3", "--z", "100000"],
-        "5786f794389079a614a33a42345bdd97047af5100d04cfc09103876a9d23a774"),
+        "5786f794389079a614a33a42345bdd97047af5100d04cfc09103876a9d23a774",
+        "73b185a8791450f0e75d4d3d03d0a4d539efdf8be6a82ba64f31b41c5133a693"),
 }
 
 
@@ -417,8 +425,184 @@ def test_seeded_measure_records_are_pinned(tmp_path, capsys, monkeypatch, case):
                "--ratios", "5/3,7/2,113/7,997/11", "--e1", "1.0")
     build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced",
                "--p", "5", "--T", "1.0")
-    argv, digest = PINNED_MEASURE_DIGESTS[case]
+    argv, digest, csv_digest = PINNED_MEASURE_DIGESTS[case]
     code, out, _ = run_cli(capsys, "measure", *argv, "--units", "natural",
-                           "--shots", "100000", "--seed", "11")
+                           "--shots", "100000", "--seed", "11", "--csv", "h.csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "h.csv").read_bytes()).hexdigest() == csv_digest
+
+
+# --- the streamed writer against json.dump ------------------------------------
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), finite_floats, st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def long_arrays(draw):
+    """Arrays longer than one writer slice, of both dtypes."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(cli._SLICE + 1, 3 * cli._SLICE))
+    if draw(st.booleans()):
+        return g.integers(-2**63, 2**63 - 1, size, dtype=np.int64, endpoint=True)
+    return g.standard_normal(size) * 10.0 ** g.integers(-320, 300, size)
+
+
+numeric_arrays = st.one_of(
+    arrays(np.int64, st.integers(0, 6)),
+    arrays(np.float64, st.integers(0, 6), elements=finite_floats),
+    long_arrays())
+documents = st.recursive(
+    st.dictionaries(st.text(), st.one_of(json_values, numeric_arrays), max_size=4),
+    lambda inner: st.dictionaries(st.text(), st.one_of(json_values, numeric_arrays, inner),
+                                  max_size=4),
+    max_leaves=8)
+
+
+def to_lists(value):
+    if isinstance(value, dict):
+        return {key: to_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_writer_spells_what_json_dump_spells(document):
+    expected = io.StringIO()
+    json.dump(to_lists(document), expected, sort_keys=True, indent=2, allow_nan=False)
+    assert dumps(document) == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("document", [
+    {"a": np.arange(5000.0), "z": math.nan},
+    {"a": np.arange(5000.0), "b": np.array([0.0, -math.inf])},
+    {"a": {"b": [1.0, {"c": (2.0, math.inf)}]}, "d": 1},
+], ids=["nan-after-array", "inf-in-array", "nested-inf"])
+def test_a_refused_document_writes_nothing(document):
+    buf = io.StringIO()
+    with pytest.raises(QClockError):
+        _write(document, buf)
+    assert buf.getvalue() == ""
+
+
+def test_writer_memory_is_bounded_by_the_slice():
+    x = np.linspace(0, 1, 10**6)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            _write({"x": x}, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a tolist() of x alone is about 32 MB
+    assert peak < 2 * 2**20
+
+
+# --- fuzzed argv ---------------------------------------------------------------
+
+# Sizes stay small: the 2^30-point dial cap still admits allocations of many GiB,
+# so an uncapped --z, --p, --shots or sweep step count would test the machine,
+# not the program.
+CAP = 10**4
+JUNK = ["nan", "-nan", "inf", "-inf", "Infinity", "-0", "0", "-1", "1e308", "1e400",
+        "-1e400", "5e-324", "1e-320", "0x10", "1_0", "1e", "", " ", "\x00", "é", "--",
+        "1/0", "0/1", "3/-2", ":", ",,"]
+junk = st.one_of(st.sampled_from(JUNK), st.text(max_size=6))
+wide = st.one_of(junk, st.floats().map(repr), st.integers(-10**40, 10**40).map(str))
+small_ints = st.integers(1, CAP).map(str)
+# what a capped flag gets in place of a valid value: nothing int() reads above CAP
+CAPPED_WIDE = {flag: st.one_of(st.sampled_from(JUNK), st.integers(-10**40, 0).map(str))
+               for flag in ("--p", "--z", "--shots")}
+numbers = st.floats(1e-3, 1e3).map(repr)
+seeds = st.integers(0, 2**70).map(str)
+ratios = st.lists(st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**6))
+                  .map(lambda cb: f"{cb[0]}/{cb[1]}"), min_size=1, max_size=4).map(",".join)
+levels = st.lists(st.one_of(numbers, wide), min_size=1, max_size=5).map(",".join)
+states = st.one_of(
+    st.tuples(st.just("t"), numbers), st.tuples(st.just("energy"), st.integers(0, 3).map(str)),
+    st.tuples(st.just("taum"), st.integers(0, 30).map(str)),
+    st.tuples(st.sampled_from(["t", "energy", "taum", "x"]), wide)).map(":".join)
+sweeps = st.tuples(st.sampled_from(["lc", "mrest", "mass", "theta", "T"]),
+                   st.lists(numbers, min_size=2, max_size=2).map(sorted).map(":".join),
+                   st.integers(2, 50).map(str)).map(":".join)
+spectra = st.sampled_from(["rat.spec", "eq.spec", "irr.spec", "missing.spec"])
+BODY = {"--lc": numbers, "--mrest": numbers, "--mass": numbers, "--p": small_ints,
+        "--T": numbers, "--spectrum": spectra, "--z": small_ints, "--theta": numbers}
+FLAGS = {
+    "build": {"--kind": st.sampled_from(["equally-spaced", "rational", "rationalized"]),
+              "--p": small_ints, "--T": numbers, "--ratios": ratios, "--e1": numbers,
+              "--levels": levels, "--epsilon": numbers,
+              "--spectrum-out": st.sampled_from(["out.spec", "nodir/x.spec"])},
+    "check-identity": {"--spectrum": spectra, "--z": small_ints, "--tau0": numbers},
+    "measure": {"--spectrum": spectra, "--z": small_ints, "--tau0": numbers,
+                "--state": states, "--shots": small_ints, "--seed": seeds,
+                "--csv": st.sampled_from(["h.csv", "nodir/h.csv"])},
+    "bounds": BODY,
+    "sweep": {**BODY, "--sweep": sweeps,
+              "--out-csv": st.sampled_from(["s.csv", "nodir/s.csv"])},
+}
+COMMON = {"--units": st.sampled_from(["si", "natural"]),
+          "--constants": st.sampled_from(["good.txt", "nan.txt", "junk.txt"]),
+          "--out": st.sampled_from(["out.json", "nodir/out.json"])}
+# flags the parser requires, those a kind of build needs, and --units for the
+# spectrum files, which are written in natural units
+REQUIRED = {"build": ["--kind", "--spectrum-out", "--p", "--T", "--ratios", "--e1",
+                      "--levels", "--epsilon"],
+            "check-identity": ["--spectrum", "--units"],
+            "measure": ["--spectrum", "--units", "--state", "--shots", "--seed"],
+            "bounds": ["--lc", "--mass", "--p", "--T"],
+            "sweep": ["--lc", "--mass", "--p", "--T", "--sweep", "--out-csv"]}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and its flags; in about one argv in two, one value is out of
+    range or junk, and in about one in four, one required flag is missing."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = {**FLAGS[command], **COMMON}
+    required = REQUIRED[command]
+    drop = draw(st.integers(0, 4 * len(required)))
+    chosen = [flag for index, flag in enumerate(required) if index != drop]
+    chosen += draw(st.lists(st.sampled_from(sorted(set(flags) - set(required))), unique=True))
+    chosen = draw(st.permutations(chosen))
+    bad = draw(st.integers(0, 2 * len(chosen)))
+    argv = [command]
+    for index, flag in enumerate(chosen):
+        argv += [flag, draw(CAPPED_WIDE.get(flag, wide) if index == bad else flags[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
+    # every example shares the directory and its input files
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "rat.spec").exists():
+        build_file(tmp_path, capsys, "rat.spec", "--kind", "rational",
+                   "--ratios", "5/3,7/2", "--e1", "1.0")
+        build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced",
+                   "--p", "3", "--T", "1.0")
+        build_file(tmp_path, capsys, "irr.spec", "--kind", "rationalized",
+                   "--levels", f"0,1,{math.sqrt(2)!r}", "--epsilon", "1e-2")
+        (tmp_path / "good.txt").write_text("hbar=1.0\nc=1.0\nG=1.0\n")
+        (tmp_path / "nan.txt").write_text("hbar=nan\n")
+        (tmp_path / "junk.txt").write_text("hbar\n=\x00\n")
+    capsys.readouterr()  # drop what an earlier example left, e.g. a usage message
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    if out:  # one JSON document, with no NaN or Infinity token
+        json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} on stdout"))
+    if code == 1:
+        assert out == ""
+        assert "error" in json.loads(err)

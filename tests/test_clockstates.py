@@ -19,7 +19,7 @@ from qclock import (ClockPOVM, ClockSpectrum, IncompatibleStates,
                     time_state)
 
 from oracles import (dial_operator_naive, first_zero_scan, frame_residual_naive,
-                     gram_matrix_naive, random_rational_fracs)
+                     gram_matrix_naive, random_rational_fracs, turns_fraction)
 
 
 def rat0621(consts=None):
@@ -149,6 +149,22 @@ def test_evolve_exact_fraction_steps(nat):
     there = time_state(spec, tau0 + 5 * dt)
     stepped = evolve(here, dt)
     assert np.max(np.abs(stepped.amplitudes - there.amplitudes)) < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 255), rational=st.booleans(),
+       scale=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+       tau=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                     st.fractions(max_denominator=10**12)))
+def test_exact_turns_match_the_fraction_reduction(nat, seed, p, rational, scale, tau):
+    if rational:
+        fracs = random_rational_fracs(np.random.default_rng(seed), min(p, 12))
+        spec = build_rational([RationalRatio.from_fraction(f) for f in fracs], 1.0, nat)
+    else:
+        spec = build_equally_spaced(p, 1.0 + seed / 2**32, nat)
+    tau = scale * spec.T if tau is None else tau
+    expected = turns_fraction(spec.r, spec.T, tau)
+    assert clockstates._turns_single(spec, tau).tobytes() == expected.tobytes()
 
 
 # --- completeness ---------------------------------------------------------------

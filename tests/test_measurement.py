@@ -257,6 +257,8 @@ def test_sample_rejects_bad_distribution(nat):
     good = OutcomeDistribution(np.array([0.5, 0.5]), np.array([0.0, 0.5]), 1.0)
     with pytest.raises(InvalidArgument):
         sample(good, 0, seed=1)
+    with pytest.raises(InvalidArgument, match="seed"):
+        sample(good, 10, seed=-1)
     # nan passes any |sum - 1| tolerance test, so it is refused on construction
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidDistribution, match="finite"):
