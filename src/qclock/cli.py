@@ -14,8 +14,19 @@ as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
 back to the same bits.  Each JSON document is the text of
 ``json.dump(document, sort_keys=True, indent=2)``, streamed from numpy slices
 so that long records never become one string, and a document holding nan or
-inf is refused before any of it is written.  The ``measure`` CSV is the text
-``csv.writer`` would write, CRLF lines included.  Usage errors exit with
+inf is refused before any of it is written.
+
+The ``measure`` document is version 2 (``"schema": 2``).  It states the dial
+instead of listing it: ``result.dial`` holds ``tau0``, ``T``, ``n_outcomes``
+and the float64 expression of ``ClockPOVM.tau_grid`` in its operation order,
+``tau_m = tau0 + m * (T / n_outcomes)``, so every ``tau_m`` is rebuilt to the
+bit.  ``result.sampler`` is the id ``measurement.SAMPLER`` of the draw
+behind the counts (numpy PCG64 from ``default_rng(seed)``, inverse CDF,
+uniforms sorted in chunks of 2^20), and ``result.counts`` lists one count per
+dial time.  Version 1 listed every dial time under ``result.tau_grid`` and had
+no ``schema``.  The ``measure`` CSV, rows ``m,tau_m,count,frequency``, is
+unchanged: the text ``csv.writer`` would write, CRLF lines included, and now
+the only place where each ``tau_m`` is spelled out.  Usage errors exit with
 status 2; domain errors exit 1 after printing a structured message naming the
 violated precondition (e.g. ``schwarzschild-violation``), and so does a file
 that cannot be read or written, whose message names the path.
@@ -26,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -36,7 +48,7 @@ from . import __version__
 from .bounds import ClockBody, bound_report
 from .clockstates import ClockPOVM, identity_residual, time_state
 from .errors import InvalidArgument, NoEstimate, QClockError
-from .measurement import outcome_probabilities, sample, with_estimate
+from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
 from .spectrum import (ClockSpectrum, RationalRatio, build_equally_spaced,
                        build_rational, max_integer, rationalized_spectrum,
                        read_spectrum, write_spectrum)
@@ -247,18 +259,18 @@ def _write_histogram(record, path: str) -> None:
     """The csv.writer text of rows (m, tau_m, count, count/shots), slice by slice.
 
     Lines end in CRLF, the csv default dialect; no number spelling needs
-    quoting.  Only a few distinct counts occur, so each frequency is spelled once.
+    quoting.  Only a few distinct counts occur, so the tail of a line, from the
+    count on, is spelled once per count.
     """
     counts, taus = record.counts, record.tau_grid
-    frequency = {k: repr(k / record.shots) for k in np.unique(counts).tolist()}
+    tail = {k: f"{k},{k / record.shots!r}\r\n" for k in np.unique(counts).tolist()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("m,tau_m,count,frequency\r\n")
         for start in range(0, counts.size, _SLICE):
             stop = start + _SLICE
-            fh.write("".join(
-                f"{m},{tau!r},{k},{frequency[k]}\r\n"
-                for m, tau, k in zip(range(start, stop), taus[start:stop].tolist(),
-                                     counts[start:stop].tolist())))
+            fh.write("".join(map("%d,%r,%s".__mod__, zip(
+                range(start, stop), taus[start:stop].tolist(),
+                map(tail.__getitem__, counts[start:stop].tolist())))))
 
 
 def cmd_measure(args) -> int:
@@ -277,7 +289,11 @@ def cmd_measure(args) -> int:
         "seed": record.seed,
         "shots": record.shots,
         "counts": record.counts,
-        "tau_grid": record.tau_grid,
+        # the dial is stated, not listed: the formula is the float64 expression
+        # of ClockPOVM.tau_grid, in its operation order
+        "dial": {"tau0": povm.tau_0, "T": spec.T, "n_outcomes": povm.n_outcomes,
+                 "formula": "tau_m = tau0 + m * (T / n_outcomes)"},
+        "sampler": SAMPLER,
         "estimate": record.estimate,
         "estimate_error": record.estimate_error,
     }
@@ -287,7 +303,7 @@ def cmd_measure(args) -> int:
     config = {"command": "measure", "spectrum": args.spectrum, "z": z,
               "tau0": args.tau0, "state": args.state, "shots": args.shots,
               "seed": args.seed}
-    _emit(_document(args, config, result), args.out)
+    _emit({**_document(args, config, result), "schema": 2}, args.out)
     return 0
 
 
@@ -378,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", type=_path, default=None,
                          help="JSON summary path (default stdout)")
     _add_units_flags(p_build)
-    p_build.set_defaults(func=cmd_build)
 
     p_check = sub.add_parser("check-identity", help="POVM completeness residual")
     p_check.add_argument("--spectrum", type=_path, required=True, metavar="FILE")
@@ -387,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tau0", type=float, default=0.0)
     p_check.add_argument("--out", type=_path, default=None)
     _add_units_flags(p_check)
-    p_check.set_defaults(func=cmd_check_identity)
 
     p_meas = sub.add_parser("measure", help="simulate a seeded measurement run")
     p_meas.add_argument("--spectrum", type=_path, required=True, metavar="FILE")
@@ -401,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--csv", type=_path, default=None,
                         help="optional histogram CSV path")
     _add_units_flags(p_meas)
-    p_meas.set_defaults(func=cmd_measure)
 
     def add_bounds_flags(sp):
         sp.add_argument("--lc", type=float, required=True, help="clock diameter in m")
@@ -419,22 +432,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate every relativistic limit")
     add_bounds_flags(p_bounds)
     p_bounds.add_argument("--out", type=_path, default=None)
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of the bounds over one parameter")
     add_bounds_flags(p_sweep)
     p_sweep.add_argument("--sweep", required=True, metavar="PARAM:MIN:MAX:STEPS")
     p_sweep.add_argument("--out-csv", type=_path, required=True, metavar="FILE")
     p_sweep.add_argument("--out", type=_path, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except OSError as exc:  # a spectrum, constants or output file that cannot be opened
         error = QClockError(f"cannot open {exc.filename!r}: {exc.strerror}"
                             if exc.filename else str(exc))

@@ -57,12 +57,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum
-from .spectrum import ClockSpectrum, SpectrumKind
+from .spectrum import MAX_DIAL_POINTS, ClockSpectrum, SpectrumKind
 
 MAX_DENSE_DIMENSION = 4096
-# points on one dial row or scan: the int64 gather index (r_n mod N) m must
-# stay below 2^63, and N <= 2^30 keeps it below 2^60
-MAX_DIAL_POINTS = 2**30
 # |overlap| below which a polished minimum counts as an orthogonal dial time
 _ZERO_TOL = 1e-9
 
@@ -71,6 +68,12 @@ def _check_dense(spec: ClockSpectrum) -> None:
     if spec.dimension > MAX_DENSE_DIMENSION:
         raise InvalidArgument(
             f"dense assembly capped at dimension {MAX_DENSE_DIMENSION}, got {spec.dimension}")
+
+
+def _check_dial(zp1: int) -> None:
+    """Refuse a dial of more than MAX_DIAL_POINTS times before anything is allocated."""
+    if zp1 > MAX_DIAL_POINTS:
+        raise InvalidArgument(f"dial grids capped at z+1 <= 2^30, got {zp1}")
 
 
 def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
@@ -101,8 +104,7 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
     that they overflow gives nan rows, not warnings.  Rows are yielded one at
     a time, so a caller that folds them keeps O(z+1) memory.
     """
-    if zp1 > MAX_DIAL_POINTS:
-        raise InvalidArgument(f"dial grids capped at z+1 <= 2^30, got {zp1}")
+    _check_dial(zp1)
     if not math.isfinite(tau_0):
         raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
     norm = math.sqrt(spec.dimension)
@@ -187,6 +189,7 @@ class ClockPOVM:
     @functools.cached_property
     def tau_grid(self) -> np.ndarray:
         """The dial times tau_m, built once and read-only."""
+        _check_dial(self.z + 1)
         grid = self.tau_0 + np.arange(self.z + 1) * (self.spectrum.T / (self.z + 1))
         grid.setflags(write=False)
         return grid

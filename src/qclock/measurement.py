@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clockstates import ClockPOVM, TimeState, _dial_rows
+from .clockstates import ClockPOVM, TimeState, _check_dial, _dial_rows
 from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
                      NoEstimate)
 
@@ -26,6 +26,9 @@ from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
 SUM_TOLERANCE = 1e-6
 # uniforms drawn, sorted and searched at a time by sample
 SAMPLE_CHUNK = 2**20
+# names the draw that turns (probabilities, shots, seed) into counts; records
+# carry it, so a change to how sample draws must come with a new id
+SAMPLER = "numpy-default_rng-pcg64/inverse-cdf/sorted-chunks-2^20"
 
 
 def _read_only_grid(grid) -> np.ndarray:
@@ -104,6 +107,7 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
                 f"state vector of length {psi.shape} does not fit dimension {spec.dimension}")
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # also refuses nan
             raise InvalidArgument("state vector must be normalized")
+    _check_dial(povm.n_outcomes)
     # conj(<tau_m|psi>) = sum_n conj(psi_n) row_n, one row at a time; no BLAS,
     # whose threaded gemv leaves a worker spinning after it returns
     amp = np.zeros(povm.n_outcomes, dtype=complex)

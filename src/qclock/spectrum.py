@@ -34,6 +34,10 @@ from .units import ConstantsSet, natural_units
 
 # r_p above this default budget aborts spectrum construction.
 DEFAULT_INTEGER_BUDGET = 2**256
+# points on one dial row or scan: the int64 gather index (r_n mod N) m must
+# stay below 2^63, and N <= 2^30 keeps it below 2^60.  An equally spaced
+# spectrum of more levels could never be read on a complete dial.
+MAX_DIAL_POINTS = 2**30
 
 
 class SpectrumKind(enum.Enum):
@@ -143,6 +147,8 @@ def build_equally_spaced(p: int, T: float, consts: ConstantsSet | None = None) -
     consts = consts or natural_units()
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise InvalidArgument(f"p must be an integer >= 1, got {p!r}")
+    if p + 1 > MAX_DIAL_POINTS:
+        raise InvalidArgument(f"equally spaced spectra capped at p+1 <= 2^30, got {p + 1}")
     if not (T > 0 and math.isfinite(T)):
         raise InvalidArgument(f"T must be positive, got {T!r}")
     step = 2.0 * math.pi * consts.hbar / T

@@ -4,6 +4,7 @@ Everything here is deliberately naive: plain loops, float phases straight
 from the energies, grid searches.  None of it shares code with qclock
 internals, so agreement is evidence rather than tautology.
 """
+import json
 import math
 from fractions import Fraction
 
@@ -132,3 +133,28 @@ def turns_fraction(r, T, tau):
     """Dial phase in turns, (r_n tau/T) mod 1, with one Fraction per level."""
     x = Fraction(tau) / Fraction(T)
     return np.array([float((rn * x) % 1) for rn in r])
+
+
+# the float64 expression a version 2 measure document states for its dial
+DIAL_FORMULA = "tau_m = tau0 + m * (T / n_outcomes)"
+
+
+def dial_grid(dial) -> np.ndarray:
+    """The dial times of a version 2 measure document, rebuilt from its dial entry."""
+    assert dial["formula"] == DIAL_FORMULA
+    n = dial["n_outcomes"]
+    return dial["tau0"] + np.arange(n) * (dial["T"] / n)
+
+
+def measure_v1_text(doc) -> str:
+    """The version 1 stdout of a parsed version 2 measure document.
+
+    Version 1 had no schema, dial or sampler field and listed every dial time
+    under result.tau_grid; otherwise the two documents agree.
+    """
+    v1 = {key: value for key, value in doc.items() if key != "schema"}
+    result = {key: value for key, value in doc["result"].items()
+              if key not in ("dial", "sampler")}
+    result["tau_grid"] = dial_grid(doc["result"]["dial"]).tolist()
+    v1["result"] = result
+    return json.dumps(v1, sort_keys=True, indent=2) + "\n"

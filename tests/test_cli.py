@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qclock import QClockError, cli, read_spectrum, natural_units
+import qclock
+from qclock import (ClockPOVM, QClockError, cli, codata2018, natural_units,
+                    read_spectrum)
 from qclock.cli import _write, main
+
+from oracles import dial_grid, measure_v1_text
 
 
 def dumps(document):
@@ -291,6 +298,65 @@ def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, monkeypatch, argv,
     assert repr(path) in document["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    *(["measure", "--spectrum", "eq.spec", "--z", z, "--state", state,
+       "--shots", "10", "--seed", "1"]
+      for z in (str(2**30), str(10**21)) for state in ("t:0.3", "taum:3", "energy:1")),
+    ["bounds", "--p", "1703045615905294551875584", "--lc", "357.67", "--mass", "1",
+     "--T", "0.001"],
+    ["build", "--kind", "equally-spaced", "--p", str(2**30), "--T", "1",
+     "--spectrum-out", "big.spec"],
+], ids=[*(f"measure-z-{z}-{state}" for z in ("2^30", "1e21")
+          for state in ("t", "taum", "energy")), "bounds-p-huge", "build-p-2^30"])
+def test_sizes_past_the_dial_cap_exit_1_naming_it(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced", "--p", "5", "--T", "1")
+    code, out, err = run_cli(capsys, *argv, "--units", "natural")
+    assert code == 1
+    assert out == ""
+    document = json.loads(err)
+    assert document["error"] == "invalid-argument"
+    assert "2^30" in document["message"]
+    assert not (tmp_path / "big.spec").exists()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+    calls = [
+        ["bounds", "--no-such-flag"],
+        ["bounds", "--lc", "8", "--mass", "0.5", "--p", "4", "--T", "100", "--units", "natural"],
+        ["build", "--kind", "equally-spaced", "--p", "3", "--T", "1.0", "--units", "natural",
+         "--spectrum-out", "eq.spec"],
+        ["measure", "--spectrum", "eq.spec", "--state", "t:0.3"],
+        ["check-identity", "--spectrum", "eq.spec", "--units", "natural"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    src = str(pathlib.Path(qclock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = [subprocess.run([sys.executable, "-m", "qclock.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in calls]
+    assert in_process == [(run.returncode, run.stdout, run.stderr) for run in fresh]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 2, 0]
+
+
+def test_main_runs_the_handler_it_finds_at_call_time(capsys, monkeypatch):
+    argv = ["bounds", "--lc", "8", "--mass", "0.5", "--p", "4", "--T", "100"]
+    assert run_cli(capsys, *argv)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.lc) or 0)
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert seen == [8.0]
+
+
 def test_non_finite_result_is_an_error_not_a_json_token(capsys):
     code, out, err = run_cli(capsys, "bounds", "--lc", "1", "--mass", "1e-320",
                              "--p", "4", "--T", "100", "--units", "natural")
@@ -348,10 +414,58 @@ def test_measure_csv_matches_json_record(tmp_path, capsys):
     with open(csv_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(row["tau_m"]).hex() for row in rows] == [
-        tau.hex() for tau in result["tau_grid"]]
+        tau.hex() for tau in dial_grid(result["dial"]).tolist()]
     assert [int(row["count"]) for row in rows] == result["counts"]
     assert [float(row["frequency"]) for row in rows] == [
         count / 1000 for count in result["counts"]]
+
+
+@st.composite
+def built_spectra(draw):
+    """build argv for a small spectrum of each kind, in natural units or CODATA."""
+    units = draw(st.sampled_from(["natural", "si"]))
+    energy, period = (1.0, 1.0) if units == "natural" else (1e-30, 1e-3)
+    scale = draw(st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(["equally-spaced", "rational", "rationalized"]))
+    if kind == "equally-spaced":
+        flags = ["--p", str(draw(st.integers(1, 8))), "--T", repr(scale * period)]
+    elif kind == "rational":
+        flags = ["--ratios", draw(st.sampled_from(["3/2", "5/3,7/2", "5/3,7/2,113/7"])),
+                 "--e1", repr(scale * energy)]
+    else:
+        levels = [scale * energy * math.sqrt(n) for n in range(draw(st.integers(2, 4)))]
+        flags = ["--levels", ",".join(map(repr, levels)), "--epsilon", "1e-2"]
+    return units, ["--kind", kind, *flags]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spectrum=built_spectra(), data=st.data())
+def test_the_dial_entry_rebuilds_the_grid_to_the_bit(tmp_path, capsys, spectrum, data):
+    units, build_argv = spectrum
+    spec_path = str(tmp_path / "s.spec")
+    code, out, _ = run_cli(capsys, "build", *build_argv, "--units", units,
+                           "--spectrum-out", spec_path)
+    assert code == 0
+    summary = json.loads(out)["result"]
+    z = data.draw(st.integers(summary["p"], 10**4))
+    tau0 = data.draw(st.sampled_from([-0.0, 1e6]) | st.floats(-1e6, 1e6)) * summary["T"]
+    # energy:0 is uniform on every dial, complete or not
+    code, out, _ = run_cli(capsys, "measure", "--spectrum", spec_path, "--units", units,
+                           "--z", str(z), f"--tau0={tau0!r}", "--state", "energy:0",
+                           "--shots", "1", "--seed", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 2
+    assert "tau_grid" not in doc["result"]
+    dial = doc["result"]["dial"]
+    consts = natural_units() if units == "natural" else codata2018()
+    grid = ClockPOVM(read_spectrum(spec_path, consts), z, tau0).tau_grid
+    assert dial_grid(dial).tobytes() == grid.tobytes()
+    # the formula in Python floats, as a reader without numpy would evaluate it
+    n = dial["n_outcomes"]
+    assert [(dial["tau0"] + m * (dial["T"] / n)).hex() for m in range(n)] == [
+        tau.hex() for tau in grid.tolist()]
 
 
 @pytest.mark.parametrize("param", ["mass", "theta"])
@@ -397,10 +511,11 @@ def test_measure_with_overflowing_dial_phases_writes_nothing(tmp_path, capsys):
     assert json.loads(err)["error"] == "invalid-distribution"
 
 
-# SHA-256 of the measure document on stdout and of its --csv histogram, captured
-# while outcome_probabilities still built the dense dial grid and sample searched
-# unsorted draws (the CSV: while csv.writer still spelled every row): a change to
-# the dial kernel, the sampler or the writers must leave seeded records as they were
+# SHA-256 of the version 1 measure document on stdout and of its --csv histogram,
+# captured while outcome_probabilities still built the dense dial grid and sample
+# searched unsorted draws (the CSV: while csv.writer still spelled every row): a
+# change to the dial kernel, the sampler or the writers must leave seeded records
+# as they were.  A version 2 document is checked through its version 1 expansion.
 PINNED_MEASURE_DIGESTS = {
     "rational-default-z": (
         ["--spectrum", "rat.spec", "--state", "t:0.3"],
@@ -417,6 +532,14 @@ PINNED_MEASURE_DIGESTS = {
 }
 
 
+# SHA-256 of the version 2 measure document on stdout, for the same cases
+PINNED_MEASURE_V2_DIGESTS = {
+    "rational-default-z": "4ddf47506dc2b3a0aa648a0133f44ce0f9f11b309ef4d464785b59d6f011c0ae",
+    "rational-tau0": "bd964d58658181ceb68e4c44865342153eff0acca21ea2954c1c3ae2672c9f07",
+    "equally-spaced-z-1e5": "39eeef42bcaac11786dd04e020f22fd590270137564869407ab04ef59ca92e72",
+}
+
+
 @pytest.mark.parametrize("case", PINNED_MEASURE_DIGESTS)
 def test_seeded_measure_records_are_pinned(tmp_path, capsys, monkeypatch, case):
     # relative spectrum paths, since the path is part of the document
@@ -429,7 +552,8 @@ def test_seeded_measure_records_are_pinned(tmp_path, capsys, monkeypatch, case):
     code, out, _ = run_cli(capsys, "measure", *argv, "--units", "natural",
                            "--shots", "100000", "--seed", "11", "--csv", "h.csv")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(measure_v1_text(json.loads(out)).encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MEASURE_V2_DIGESTS[case]
     assert hashlib.sha256((tmp_path / "h.csv").read_bytes()).hexdigest() == csv_digest
 
 
