@@ -260,17 +260,20 @@ def _write_histogram(record, path: str) -> None:
 
     Lines end in CRLF, the csv default dialect; no number spelling needs
     quoting.  Only a few distinct counts occur, so the tail of a line, from the
-    count on, is spelled once per count.
+    comma before the count on, is spelled once per count.  Each slice is one
+    list of parts [m, ",", tau_m, tail] per line, joined once.
     """
     counts, taus = record.counts, record.tau_grid
-    tail = {k: f"{k},{k / record.shots!r}\r\n" for k in np.unique(counts).tolist()}
+    tail = {k: f",{k},{k / record.shots!r}\r\n" for k in np.unique(counts).tolist()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("m,tau_m,count,frequency\r\n")
         for start in range(0, counts.size, _SLICE):
-            stop = start + _SLICE
-            fh.write("".join(map("%d,%r,%s".__mod__, zip(
-                range(start, stop), taus[start:stop].tolist(),
-                map(tail.__getitem__, counts[start:stop].tolist())))))
+            stop = min(start + _SLICE, counts.size)
+            parts = [","] * (4 * (stop - start))
+            parts[0::4] = map(str, range(start, stop))
+            parts[2::4] = map(repr, taus[start:stop].tolist())
+            parts[3::4] = map(tail.__getitem__, counts[start:stop].tolist())
+            fh.write("".join(parts))
 
 
 def cmd_measure(args) -> int:

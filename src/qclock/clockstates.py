@@ -43,7 +43,8 @@ Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 All operations are pure; (p+1) x (p+1) matrices and the dense dial grid are
 capped at dimension p+1 <= 4096, and dial rows and scans at 2^30 points.
 The dense grid is built only on request (grid_amplitudes); measurement folds
-the grid one row at a time and never holds it.
+the grid one row and one window of _BLOCK dial times at a time and never
+holds it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum
 from .spectrum import MAX_DIAL_POINTS, ClockSpectrum, SpectrumKind
 
 MAX_DENSE_DIMENSION = 4096
+# dial times a measurement works on at a time.  A power of two, so every
+# window starts on a SIMD lane boundary and an elementwise pass over the
+# windows rounds each entry as one pass over the whole dial would.
+_BLOCK = 2**14
 # |overlap| below which a polished minimum counts as an orthogonal dial time
 _ZERO_TOL = 1e-9
 
@@ -94,37 +99,62 @@ def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
     return np.mod(spec.levels * (float(tau) / (2.0 * math.pi * spec.hbar)), 1.0)
 
 
-def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
-    """Yield row n of the dial grid, (p+1)^-1/2 e^{-2 pi i phase_n(tau_m)} over m = 0..z.
+def _blocks(n: int):
+    """The windows [start, stop) that cover range(n), _BLOCK dial times each.
 
-    Exact spectra gather from one twiddle table w[k] = e^{-2 pi i k/(z+1)}:
-    row n is w[(r_n mod (z+1)) m mod (z+1)] u_n with the exact tau_0 offset
-    phase u_n, so z+1 complex exp serve all p+1 rows.  Other spectra take
-    float phases f_n tau_m straight from the energies; an offset so large
-    that they overflow gives nan rows, not warnings.  Rows are yielded one at
-    a time, so a caller that folds them keeps O(z+1) memory.
+    A last window of one dial time joins the window before it: numpy takes a
+    one-element array times a scalar down its scalar path, which rounds
+    without the fused multiply-add that the SIMD tail of a longer pass uses.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
+        yield start, stop
+        start = stop
+
+
+def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
+    """rows(start, stop) yields row n of the dial grid over the window m = start..stop-1.
+
+    Row n is (p+1)^-1/2 e^{-2 pi i phase_n(tau_m)}.  Exact spectra gather from
+    one twiddle table w[k] = e^{-2 pi i k/(z+1)}, built here once, a block at
+    a time: row n is w[(r_n mod (z+1)) m mod (z+1)] u_n with the exact tau_0
+    offset phase u_n, so z+1 complex exp serve all p+1 rows and every window.
+    Other spectra take float phases f_n tau_m straight from the energies; an
+    offset so large that they overflow gives nan rows, not warnings.  Every
+    entry is computed elementwise, so a window holds the same bits as the
+    same stretch of a full row; rows(0, zp1) yields full rows.  A caller that
+    folds the rows a window at a time keeps O(window) memory beside the
+    16 B per dial time of the table.
     """
     _check_dial(zp1)
     if not math.isfinite(tau_0):
         raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
     norm = math.sqrt(spec.dimension)
     if spec.has_exact_integers:
-        m = np.arange(zp1, dtype=np.int64)
-        w = np.exp(-2j * math.pi * (m / float(zp1)))
+        w = np.empty(zp1, dtype=complex)
+        for start, stop in _blocks(zp1):
+            np.exp(-2j * math.pi * (np.arange(start, stop) / float(zp1)), out=w[start:stop])
         u = np.exp(-2j * math.pi * _turns_single(spec, tau_0)) / norm
-        for rn, un in zip(spec.r, u):
-            index = m * (rn % zp1)
-            row = w[np.remainder(index, zp1, out=index)]
-            row *= un
-            yield row
-        return
+
+        def rows(start, stop):
+            m = np.arange(start, stop, dtype=np.int64)
+            for rn, un in zip(spec.r, u):
+                index = m * (rn % zp1)
+                row = w[np.remainder(index, zp1, out=index)]
+                row *= un
+                yield row
+        return rows
     freqs = spec.levels / (2.0 * math.pi * spec.hbar)
-    taus = float(tau_0) + np.arange(zp1) * (spec.T / zp1)
-    for f in freqs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = np.exp(-2j * math.pi * (f * taus))
-            row /= norm
-        yield row
+
+    def rows(start, stop):
+        taus = float(tau_0) + np.arange(start, stop) * (spec.T / zp1)
+        for f in freqs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                row = np.exp(-2j * math.pi * (f * taus))
+                row /= norm
+            yield row
+    return rows
 
 
 def _outcome_count(spec: ClockSpectrum, z: int) -> int:
@@ -139,7 +169,7 @@ def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarr
     zp1 = _outcome_count(spec, z)
     _check_dense(spec)
     # fromiter fills the grid row by row, holding one row beside it
-    return np.fromiter(_dial_rows(spec, zp1, tau_0), dtype=np.dtype((complex, zp1)),
+    return np.fromiter(_dial_rows(spec, zp1, tau_0)(0, zp1), dtype=np.dtype((complex, zp1)),
                        count=spec.dimension)
 
 
@@ -401,7 +431,7 @@ def _scan_overlaps(spec: ClockSpectrum, n_grid: int) -> np.ndarray:
                            minlength=n_grid)
         return np.abs(np.fft.fft(hist)) / spec.dimension
     total = np.zeros(n_grid, dtype=complex)
-    for row in _dial_rows(spec, n_grid, 0.0):
+    for row in _dial_rows(spec, n_grid, 0.0)(0, n_grid):
         total += row
     return np.abs(total) / math.sqrt(spec.dimension)
 

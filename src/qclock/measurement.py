@@ -9,6 +9,16 @@ O(z+1) memory whatever p is; the (p+1) x (z+1) grid is never built.  Because
 the dial is periodic, time is estimated with the circular mean of the
 observed tau_m; a linear average would be biased by up to T/2 at the period
 seam.
+
+Memory per dial time (bin).  A measurement keeps 24 B: probs, tau_grid and
+counts, 8 B each, and the distribution and records share them rather than
+copy.  It holds for a moment at most 16 B more, one item at a time: the
+twiddle table of an exact spectrum while the amplitudes are folded, the CDF
+(8 B) while sample draws, and the complex summands while circular_mean adds
+them.  So an exact measurement peaks near 40 B per bin, plus windows of
+clockstates._BLOCK bins and sample's chunks of up to 2^20 draws.  The kernels
+work the dial a window at a time, and every value is computed elementwise or
+by the same one np.sum as a single pass, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clockstates import ClockPOVM, TimeState, _check_dial, _dial_rows
+from .clockstates import ClockPOVM, TimeState, _blocks, _dial_rows
 from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
                      NoEstimate)
 
@@ -31,18 +41,19 @@ SAMPLE_CHUNK = 2**20
 SAMPLER = "numpy-default_rng-pcg64/inverse-cdf/sorted-chunks-2^20"
 
 
-def _read_only_grid(grid) -> np.ndarray:
-    """The dial grid as a read-only float64 array, shared when it is one already.
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype, shared when it is one already.
 
     Only an array that owns its data is shared: a read-only view could still
-    change through its writable base.
+    change through its writable base.  A caller's writable array is copied,
+    never frozen.
     """
-    if (isinstance(grid, np.ndarray) and grid.dtype == np.float64
-            and not grid.flags.writeable and grid.flags.owndata):
-        return grid
-    grid = np.array(grid, dtype=float)
-    grid.setflags(write=False)
-    return grid
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable and values.flags.owndata):
+        return values
+    values = np.array(values, dtype=dtype)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +65,8 @@ class OutcomeDistribution:
     T: float
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        grid = _read_only_grid(self.tau_grid)
-        probs.setflags(write=False)
+        probs = _read_only(self.probs, np.float64)
+        grid = _read_only(self.tau_grid, np.float64)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tau_grid", grid)
         if probs.shape != grid.shape or probs.ndim != 1:
@@ -80,11 +90,14 @@ class MeasurementRecord:
     estimate_error: float | None = None
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        grid = _read_only_grid(self.tau_grid)
-        counts.setflags(write=False)
+        counts = _read_only(self.counts, np.int64)
+        grid = _read_only(self.tau_grid, np.float64)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "tau_grid", grid)
+        if counts.shape != grid.shape or counts.ndim != 1:
+            raise InvalidArgument("counts and tau_grid must be equal-length vectors")
+        if counts.size and counts.min() < 0:
+            raise InvalidArgument("counts must be non-negative")
         if counts.sum() != self.shots:
             raise InvalidArgument("counts must sum to shots")
 
@@ -107,14 +120,21 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
                 f"state vector of length {psi.shape} does not fit dimension {spec.dimension}")
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # also refuses nan
             raise InvalidArgument("state vector must be normalized")
-    _check_dial(povm.n_outcomes)
-    # conj(<tau_m|psi>) = sum_n conj(psi_n) row_n, one row at a time; no BLAS,
-    # whose threaded gemv leaves a worker spinning after it returns
-    amp = np.zeros(povm.n_outcomes, dtype=complex)
-    for c, row in zip(psi.conj(), _dial_rows(spec, povm.n_outcomes, povm.tau_0)):
-        row *= c
-        amp += row
-    probs = float(povm.weight) * np.abs(amp) ** 2
+    zp1 = povm.n_outcomes
+    rows = _dial_rows(spec, zp1, povm.tau_0)
+    weight = float(povm.weight)
+    probs = np.empty(zp1)
+    # conj(<tau_m|psi>) = sum_n conj(psi_n) row_n, one row at a time and one
+    # window of m at a time; no BLAS, whose threaded gemv leaves a worker
+    # spinning after it returns
+    for start, stop in _blocks(zp1):
+        amp = np.zeros(stop - start, dtype=complex)
+        for c, row in zip(psi.conj(), rows(start, stop)):
+            row *= c
+            amp += row
+        probs[start:stop] = weight * np.abs(amp) ** 2
+    del rows  # the twiddle table goes before the dial grid is built
+    probs.setflags(write=False)
     return OutcomeDistribution(probs, povm.tau_grid, spec.T)
 
 
@@ -128,17 +148,22 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise InvalidDistribution(
             f"probabilities sum to {total!r}; the generating POVM is not complete")
-    cdf = np.cumsum(dist.probs / total)
+    cdf = np.divide(dist.probs, total)
+    np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     # PCG64 random() gives the same stream however its calls are split, and
     # bincount ignores order, so chunked sorted draws count what one unsorted
     # draw would; sorted needles keep the search cache-friendly
-    counts = np.zeros(len(cdf), dtype=np.int64)
+    counts = None
     for start in range(0, shots, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, shots - start))
         draws.sort()
-        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
+        bins = np.searchsorted(cdf, draws, side="right")
+        del draws
+        chunk = np.bincount(bins, minlength=len(cdf))
+        counts = chunk if counts is None else np.add(counts, chunk, out=counts)
+    counts.setflags(write=False)
     return MeasurementRecord(seed=int(seed), shots=int(shots), counts=counts,
                              tau_grid=dist.tau_grid, T=dist.T)
 
@@ -150,12 +175,19 @@ def circular_mean(record: MeasurementRecord) -> tuple[float, float]:
     standard deviation sqrt(-2 ln Rbar) scaled to time units and divided by
     sqrt(shots).
     """
-    T = record.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = 2.0 * math.pi * record.tau_grid / T
-        resultant = np.sum(record.counts * np.exp(1j * angles))
-    if not np.isfinite(resultant):
-        raise InvalidArgument(f"dial times overflow the circular mean over period {T!r}")
+    T, counts = record.T, record.counts
+    # only bins with counts call exp; the rest stay +0, and adding a zero of
+    # either sign leaves a non-zero pairwise partial sum unchanged, so the one
+    # np.sum over all bins rounds as the sum of counts * exp over all bins
+    terms = np.zeros(counts.shape, dtype=complex)
+    for start, stop in _blocks(counts.size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = 2.0 * math.pi * record.tau_grid[start:stop] / T
+        if not np.isfinite(angles).all():
+            raise InvalidArgument(f"dial times overflow the circular mean over period {T!r}")
+        hit = np.flatnonzero(counts[start:stop])
+        terms[start + hit] = counts[start + hit] * np.exp(1j * angles[hit])
+    resultant = np.sum(terms)
     r_mag = abs(resultant) / record.shots
     if r_mag < 1e-9:
         raise NoEstimate("outcome data are uniform on the dial; no direction to average")
@@ -170,7 +202,7 @@ def estimate_time(record: MeasurementRecord) -> float:
 
 
 def with_estimate(record: MeasurementRecord) -> MeasurementRecord:
-    """A copy of the record with the circular estimate fields filled in."""
+    """The record with the circular estimate fields filled in; its arrays are shared."""
     est, err = circular_mean(record)
     return MeasurementRecord(seed=record.seed, shots=record.shots,
                              counts=record.counts, tau_grid=record.tau_grid,

@@ -627,6 +627,29 @@ def test_writer_memory_is_bounded_by_the_slice():
     assert peak < 2 * 2**20
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.sampled_from([1, 2, 4095, 4096, 4097, 9000]))
+def test_histogram_spells_what_csv_writer_spells(tmp_path, data, n):
+    # times of any sign and size, -0.0 and subnormals; counts with repeats and
+    # empty bins, so several lines share one tail
+    taus = data.draw(arrays(np.float64, n, elements=st.floats(allow_nan=False,
+                                                              allow_infinity=False)))
+    counts = data.draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 1, 3])
+                              | st.integers(0, 2**40)))
+    shots = max(int(counts.sum()), 1)
+    counts[0] += shots - counts.sum()
+    record = qclock.MeasurementRecord(seed=0, shots=shots, counts=counts, tau_grid=taus, T=1.0)
+    path = tmp_path / "h.csv"
+    cli._write_histogram(record, str(path))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["m", "tau_m", "count", "frequency"])
+    writer.writerows((m, tau, k, k / shots)
+                     for m, (tau, k) in enumerate(zip(taus.tolist(), counts.tolist())))
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 # --- fuzzed argv ---------------------------------------------------------------
 
 # Sizes stay small: the 2^30-point dial cap still admits allocations of many GiB,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
                     InvalidDistribution, MeasurementRecord, NoEstimate,
@@ -15,8 +16,8 @@ from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
                     evolve, measurement, outcome_probabilities,
                     rationalized_spectrum, sample, time_state, with_estimate)
 
-from oracles import (circular_mean_naive, outcome_probabilities_naive,
-                     random_rational_fracs)
+from oracles import (circular_mean_dense, circular_mean_naive,
+                     outcome_probabilities_naive, random_rational_fracs)
 
 
 def test_grid_state_gives_kronecker_delta(nat):
@@ -332,3 +333,149 @@ def test_circular_mean_error_shrinks_with_shots(nat):
     _, err_small = circular_mean(sample(dist, 100, seed=5))
     _, err_big = circular_mean(sample(dist, 10**4, seed=5))
     assert err_big < err_small
+
+
+# --- blocks over the dial ---------------------------------------------------------
+
+def measured(state, povm, shots, seed):
+    dist = outcome_probabilities(state, povm)
+    rec = sample(dist, shots, seed)
+    return dist.probs, rec.counts, circular_mean(rec)
+
+
+BLOCK_CASES = {
+    # z+1 = 2 * 4096 + 1: with blocks of 64 or 4096 a last window of one dial
+    # time would remain, and joins the window before it
+    "rational": lambda nat: (build_rational([RationalRatio(5, 3), RationalRatio(7, 2),
+                                             RationalRatio(113, 7)], 1.0, nat), 8192, 0.31),
+    "rational-tau0": lambda nat: (rat0621(nat), 9000, -2.7),
+    "equally-spaced": lambda nat: (build_equally_spaced(9, 1.0, nat), 12345, 0.0),
+    # complete to within sample's tolerance, unlike the 1e-3 approximation
+    "rationalized": lambda nat: (rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-7, nat),
+                                 9000, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_the_block_size_changes_no_bit(nat, monkeypatch, case):
+    spec, z, tau_0 = BLOCK_CASES[case](nat)
+    povm = ClockPOVM(spec, z, tau_0 * spec.T)
+    assert z + 1 > 2 * 4096  # several blocks of 4096, many of 64
+    states = [time_state(spec, t * spec.T) for t in (0.37, 0.83)]
+    results = []
+    for block in (64, 4096, z + 2):
+        monkeypatch.setattr(clockstates, "_BLOCK", block)
+        results.append([measured(state, povm, 5000, seed=11) for state in states])
+    for other in results[1:]:
+        for (probs, counts, estimate), (probs0, counts0, estimate0) in zip(other, results[0]):
+            assert np.array_equal(probs, probs0)
+            assert np.array_equal(counts, counts0)
+            assert estimate == estimate0
+
+
+def test_windows_cover_the_dial_without_a_one_point_tail(monkeypatch):
+    monkeypatch.setattr(clockstates, "_BLOCK", 4)
+    assert list(clockstates._blocks(1)) == [(0, 1)]
+    assert list(clockstates._blocks(8)) == [(0, 4), (4, 8)]
+    assert list(clockstates._blocks(9)) == [(0, 4), (4, 9)]
+    assert list(clockstates._blocks(10)) == [(0, 4), (4, 8), (8, 10)]
+    assert list(clockstates._blocks(0)) == []
+
+
+@st.composite
+def sparse_records(draw):
+    """Records with many empty bins, on a dial grid or on arbitrary times."""
+    n = draw(st.integers(1, 300))
+    T = draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        tau0 = draw(st.floats(-1e3, 1e3))
+        taus = tau0 + np.arange(n) * (T / n)
+    else:
+        taus = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    counts = draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 0, 1, 2, 7])
+                         | st.integers(0, 2**40)))
+    if not counts.any():
+        counts[draw(st.integers(0, n - 1))] = 1
+    return MeasurementRecord(seed=0, shots=int(counts.sum()), counts=counts, tau_grid=taus, T=T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=sparse_records(), block=st.sampled_from([64, 4096, 2**14]))
+def test_circular_mean_is_the_whole_grid_sum_to_the_bit(record, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clockstates, "_BLOCK", block)
+        try:
+            got = circular_mean(record)
+        except NoEstimate:
+            got = "uniform"
+    try:
+        ref = circular_mean_dense(record.counts, record.tau_grid, record.T, record.shots)
+    except ValueError as exc:
+        ref = str(exc)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
+def test_circular_mean_refuses_an_overflowing_angle_in_an_empty_bin():
+    # 2 pi tau/T overflows to inf in a bin with no counts: the whole-grid sum
+    # is nan, so the refusal holds although exp skips that bin
+    rec = MeasurementRecord(seed=0, shots=5, counts=[5, 0], tau_grid=[0.0, 1.7e308], T=1.0)
+    with pytest.raises(ValueError, match="overflow"):
+        circular_mean_dense(rec.counts, rec.tau_grid, rec.T, rec.shots)
+    with pytest.raises(InvalidArgument, match="overflow"):
+        circular_mean(rec)
+    rec = MeasurementRecord(seed=0, shots=5, counts=[5, 0], tau_grid=[0.0, math.nan], T=1.0)
+    with pytest.raises(InvalidArgument, match="overflow"):
+        circular_mean(rec)
+
+
+def test_a_dial_exact_measurement_stays_under_six_mib(nat):
+    # p = 5, z = 10^5: the record keeps probs, tau_grid and counts, 24 B per
+    # dial time (2.4 MB); the twiddle table and the summands of the circular
+    # mean, 16 B per dial time each, live one at a time.  Whole-length
+    # temporaries in each kernel would take the same measurement to 8.0 MB.
+    ratios = [RationalRatio(5, 3), RationalRatio(7, 2), RationalRatio(113, 7),
+              RationalRatio(997, 11)]
+    spec = build_rational(ratios, 1.3, nat)
+    state = time_state(spec, 0.41 * spec.T)
+    tracemalloc.start()
+    try:
+        povm = ClockPOVM(spec, 10**5)
+        dist = outcome_probabilities(state, povm)
+        rec = with_estimate(sample(dist, 10**5, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert rec.counts.sum() == 10**5 and rec.estimate is not None
+
+
+def test_a_measurement_shares_its_arrays_and_freezes_no_caller_array(nat):
+    spec = rat0621(nat)
+    dist = outcome_probabilities(time_state(spec, 1.1), ClockPOVM(spec, 40, 0.2))
+    assert not dist.probs.flags.writeable and dist.probs.flags.owndata
+    assert OutcomeDistribution(dist.probs, dist.tau_grid, dist.T).probs is dist.probs
+    rec = sample(dist, 1000, seed=3)
+    assert not rec.counts.flags.writeable and rec.counts.flags.owndata
+    est = with_estimate(rec)
+    assert est.counts is rec.counts and est.tau_grid is rec.tau_grid
+    # a caller's writable array is copied, never frozen
+    counts = np.array([3, 0, 1])
+    rec = MeasurementRecord(seed=0, shots=4, counts=counts, tau_grid=[0.0, 0.25, 0.5], T=1.0)
+    assert counts.flags.writeable and rec.counts is not counts
+    counts[0] = 9
+    assert rec.counts[0] == 3
+
+
+@pytest.mark.parametrize("counts, taus, match", [
+    ([-1, 2], [0.0, 0.5], "non-negative"),
+    ([1, 2], [0.0, 0.25, 0.5], "equal-length"),
+    ([3], [0.0, 0.25, 0.5], "equal-length"),
+    ([[1, 2]], [[0.0, 0.5]], "equal-length"),
+])
+def test_a_record_refuses_negative_or_misshapen_counts(counts, taus, match):
+    with pytest.raises(InvalidArgument, match=match):
+        MeasurementRecord(seed=0, shots=sum(np.ravel(counts)), counts=counts,
+                          tau_grid=taus, T=1.0)
