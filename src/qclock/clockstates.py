@@ -20,10 +20,28 @@ F = D P D^H with P all-ones inside each residue class of r_n mod (z+1) and D
 a diagonal phase, so the residual is read off the residue classes with no
 eigensolver: 0 for distinct residues, else max(largest class - 1, 1).
 
-The first orthogonal dial time is scanned on N = max(512, 32 (r_p+1))
-samples of |<t0|t0 + k T/N>|.  On exact spectra those are one length-N FFT
-of the histogram of r_n mod N; other spectra fold the float-phase dial rows.
-Both take O(N) memory.
+The first orthogonal dial time is the first zero of S(t) = <t0|t0+t> =
+mean_n e^{-i w_n t}, w_n = E_n/hbar, found by a certified search.  S is
+sampled at t_k = k h, h = T/N, N = max(512, 32 (r_p+1)).  On exact spectra
+the samples are one real FFT of the histogram of r_n mod N, over half a
+period: S(T - t) = conj S(t), so the first zero lies in (0, T/2].  Other
+spectra fold the float-phase dial rows over the period, a window at a time.
+Either way the samples take 16 B each.  On a step [a, b], S departs from the
+chord [S(a), S(b)] by at most max|S''| (b-a)^2/8 <= mean(w_n^2) (b-a)^2/8,
+so |S| there is at least the chord's distance from 0 less that curvature
+term and a rounding allowance of 4 eps (p+1 + T max w_n): the phases w_n t
+are rounded relative to their size, at most T max w_n, and a sum of p+1
+unit terms (or an FFT, whose error grows as log N) rounds once per term.
+Steps whose bound exceeds _ZERO_TOL hold no zero.  The rest are taken in
+time order.  Only where the chord comes within the curvature term, the
+allowance and _ZERO_TOL of 0 can S vanish, so a step is narrowed to that
+stretch when it is at most half the step, and halved otherwise, until the
+curvature term is below _ZERO_TOL.  The one minimum left is bisected on the
+sign of d|S|^2/dt down to adjacent floats, and the float of the two with the
+smaller |S| is the zero if |S| < _ZERO_TOL there.  So a zero is never
+skipped for a later one, however close the two lie.  None certifies that
+every step was either bounded above _ZERO_TOL or polished to a minimum that
+stayed above it: on (0, T - h], and on all of (0, T) for exact spectra.
 
 Phase evaluation note: for spectra with exact integer frequencies the phases
 are reduced mod 1 in exact integer/Fraction arithmetic before exponentiating
@@ -220,7 +238,10 @@ class ClockPOVM:
     def tau_grid(self) -> np.ndarray:
         """The dial times tau_m, built once and read-only."""
         _check_dial(self.z + 1)
-        grid = self.tau_0 + np.arange(self.z + 1) * (self.spectrum.T / (self.z + 1))
+        # tau_0 + m * (T/(z+1)) in place, 8 B per dial time
+        grid = np.arange(self.z + 1, dtype=float)
+        grid *= self.spectrum.T / (self.z + 1)
+        grid += self.tau_0
         grid.setflags(write=False)
         return grid
 
@@ -411,71 +432,70 @@ def overlap_magnitude(spec: ClockSpectrum, dt):
     return out if np.ndim(dt) else float(out[0])
 
 
-def _overlap_sq_slope(spec: ClockSpectrum, t: float) -> float:
-    """d/dt |<t0|t0+t>|^2; crosses zero linearly at each overlap zero."""
-    w = spec.levels / spec.hbar
-    ph = np.exp(-1j * w * t)
-    s = ph.mean()
-    ds = (-1j * w * ph).mean()
-    return 2.0 * (s.conjugate() * ds).real
+def _overlap_sq_slope(w: np.ndarray, t: float) -> tuple[complex, float]:
+    """S = <t0|t0+t> and d|S|^2/dt for w_n = E_n/hbar; the slope crosses zero
+    linearly at each zero of S."""
+    ph = np.exp(w * (-1j * t))
+    s = complex(ph.sum()) / len(w)
+    return s, 2.0 * (s.conjugate() * complex(np.dot(w, ph))).imag / len(w)
 
 
 def _scan_overlaps(spec: ClockSpectrum, n_grid: int) -> np.ndarray:
-    """|<t0|t0 + k T/N>| for k = 0..N-1, N = n_grid, in O(N) memory.
-
-    On exact spectra sum_n e^{-2 pi i r_n k/N} is the length-N DFT of the
-    histogram of r_n mod N.  Other spectra fold the float-phase dial rows.
-    """
+    """S_k = <t0|t0 + k T/N>, N = n_grid: k <= N/2 from a real FFT of the histogram of
+    r_n mod N on exact spectra (S_{N-k} = conj S_k), else all k < N from the dial rows."""
     if spec.has_exact_integers:
-        hist = np.bincount(np.array([rn % n_grid for rn in spec.r], dtype=np.int64),
-                           minlength=n_grid)
-        return np.abs(np.fft.fft(hist)) / spec.dimension
-    total = np.zeros(n_grid, dtype=complex)
-    for row in _dial_rows(spec, n_grid, 0.0)(0, n_grid):
-        total += row
-    return np.abs(total) / math.sqrt(spec.dimension)
+        s = np.fft.rfft(np.bincount([rn % n_grid for rn in spec.r], minlength=n_grid))
+        s = np.append(s, s[-1].conjugate()) if n_grid % 2 else s
+        return np.divide(s, spec.dimension, out=s)
+    s, rows = np.zeros(n_grid, dtype=complex), _dial_rows(spec, n_grid, 0.0)
+    for start, stop in _blocks(n_grid):
+        for row in rows(start, stop):
+            s[start:stop] += row
+    return np.divide(s, math.sqrt(spec.dimension), out=s)
 
 
 def first_orthogonal_time(spec: ClockSpectrum, *,
                           samples_per_cycle: int = 32) -> float | None:
-    """First dt > 0 with <t0|t0+dt> = 0, found by a scan plus root polish.
+    """First dt > 0 with |S| = |<t0|t0+dt>| < _ZERO_TOL, or None if there is none.
 
-    Returns None when no orthogonal configuration exists within one period
-    (generic spectra need not ever reach one).  The scan takes
-    N = max(512, samples_per_cycle (r_p+1)) <= 2^30 samples, so no sign
-    structure is missed: near a simple zero |overlap| <= (step/2)*|d
-    overlap/dt| <= pi/samples_per_cycle at the nearest sample, and every
-    candidate below that cut gets polished.  On exact spectra the samples
-    are one FFT of the residue histogram of r_n mod N; other spectra sum the
-    float-phase dial rows.  The minimum itself is located as a sign change
-    of d|overlap|^2/dt, which Brent's method pins to machine precision.
+    On each of N = max(512, samples_per_cycle (r_p+1)) <= 2^30 scan steps h = T/N,
+    |S| >= (distance from 0 to the chord) - mean(w_n^2) h^2/8 - 4 eps (p+1 + T max w_n),
+    w_n = E_n/hbar, the last term a rounding allowance (the module docstring sets out
+    the search).  None certifies |S| >= _ZERO_TOL on (0, T - h], on all of (0, T) if exact.
     """
-    if spec.p < 1:
-        return None
     n_grid = max(512, samples_per_cycle * (spec.r[-1] + 1))
     if n_grid > MAX_DIAL_POINTS:
-        raise InvalidArgument(
-            f"orthogonality scans capped at 2^30 points, got {n_grid} = "
-            f"{samples_per_cycle} x (r_p+1)")
-    from scipy.optimize import brentq, minimize_scalar  # slow import, only needed here
-    ts = np.linspace(0.0, spec.T, n_grid, endpoint=False)[1:]
-    g = _scan_overlaps(spec, n_grid)[1:]
-    step = ts[1] - ts[0]
-    candidate_cut = 2.0 * math.pi / samples_per_cycle
-    # local minima of |overlap|, in time order
-    interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
-    for i in interior:
-        if g[i] > candidate_cut:
-            continue
-        a, b = ts[i] - step, ts[i] + step
-        if _overlap_sq_slope(spec, a) < 0.0 < _overlap_sq_slope(spec, b):
-            t_min = float(brentq(lambda t: _overlap_sq_slope(spec, t), a, b,
-                                 xtol=1e-15 * spec.T, rtol=4 * np.finfo(float).eps))
-        else:
-            res = minimize_scalar(
-                lambda t: overlap_magnitude(spec, t) ** 2,
-                bounds=(a, b), method="bounded", options={"xatol": 1e-15 * spec.T})
-            t_min = float(res.x)
-        if overlap_magnitude(spec, t_min) < _ZERO_TOL:
-            return t_min
+        raise InvalidArgument(f"orthogonality scans capped at 2^30 points, got {n_grid} = "
+                              f"{samples_per_cycle} x (r_p+1)")
+    with np.errstate(over="ignore"):  # an E_n/hbar past the float range is refused
+        w, h = spec.levels / spec.hbar, spec.T / n_grid
+        curv = float(np.mean((w * h) ** 2)) / 8  # the curvature term of one scan step
+    if not math.isfinite(curv):
+        raise InvalidArgument("phase frequencies E_n/hbar overflow the orthogonality search")
+    slack = _ZERO_TOL + 4 * np.finfo(float).eps * (spec.dimension + spec.T * w[-1])
+    s = _scan_overlaps(spec, n_grid)
+    for i in range(0, len(s) - 1, _BLOCK):
+        g = abs(v := s[i:i + _BLOCK + 1])  # (|S_k| + |S_k+1| - |S_k+1 - S_k|)/2 <= chord distance
+        near = np.flatnonzero(g[:-1] + g[1:] - abs(np.diff(v)) <= 2 * (slack + curv))
+        for k in (near + i).tolist():
+            stack = [(k * h, (k + 1) * h, complex(s[k]), complex(s[k + 1]))]
+            while stack:
+                a, b, sa, sb = stack.pop()
+                rho, d = slack + curv * ((b - a) / h) ** 2, sb - sa
+                u = -(sa.conjugate() * d).real / (abs(d) ** 2 + 1e-300)  # nearest to 0
+                du = math.sqrt(max(rho * rho - abs(sa + u * d) ** 2, 0.0)) / (abs(d) + 1e-300)
+                lo, hi = max(u - du, 0.0), min(u + du, 1.0)  # where the chord is within rho
+                if lo >= hi:
+                    continue
+                a2, b2, m = a + lo * (b - a), a + hi * (b - a), 0.5 * (a + b)
+                if rho - slack > _ZERO_TOL and a < m < b:  # narrow, or else halve
+                    ts = [a2, b2] if hi - lo <= 0.5 and b2 - a2 < b - a else [a, m, b]
+                    ss = [sa if t == a else sb if t == b else _overlap_sq_slope(w, t)[0] for t in ts]
+                    stack += reversed(list(zip(ts, ts[1:], ss, ss[1:])))
+                    continue
+                while a2 < (m := 0.5 * (a2 + b2)) < b2:
+                    a2, b2 = (m, b2) if _overlap_sq_slope(w, m)[1] < 0.0 else (a2, m)
+                size, t = min((abs(_overlap_sq_slope(w, t)[0]), t) for t in (a2, b2))
+                if size < _ZERO_TOL:
+                    return t
     return None

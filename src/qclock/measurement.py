@@ -96,6 +96,8 @@ class MeasurementRecord:
         object.__setattr__(self, "tau_grid", grid)
         if counts.shape != grid.shape or counts.ndim != 1:
             raise InvalidArgument("counts and tau_grid must be equal-length vectors")
+        if self.shots < 1:
+            raise InvalidArgument(f"shots must be >= 1, got {self.shots}")
         if counts.size and counts.min() < 0:
             raise InvalidArgument("counts must be non-negative")
         if counts.sum() != self.shots:

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -439,6 +443,19 @@ def test_povm_rejects_small_z(nat):
         ClockPOVM(build_equally_spaced(4, 1.0, nat), 3)
 
 
+def test_the_dial_times_are_filled_in_place(nat):
+    # z = 10^6: the grid is 8 MB, and no int64 arange or product sits beside it
+    povm = ClockPOVM(build_equally_spaced(5, 1.0, nat), 10**6, 0.3)
+    tracemalloc.start()
+    try:
+        grid = povm.tau_grid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5e6
+    assert grid.tobytes() == (0.3 + np.arange(10**6 + 1) * (1.0 / (10**6 + 1))).tobytes()
+
+
 # --- rationalized spectra: residual decay ---------------------------------------
 
 def test_residual_decay_with_epsilon(nat):
@@ -475,9 +492,8 @@ def test_first_orthogonal_time_equally_spaced(nat, p):
     assert t_orth == pytest.approx(ref, rel=1e-6)
 
 
-# captured before the scan became a residue-histogram FFT (exact spectra) and
-# a fold of the dial rows (rationalized spectra); the scan only picks the
-# brackets that Brent's method polishes, so the values must not move a bit
+# compared with ==: the two zeros of products are their closed forms
+# (test_pinned_zeros_are_the_closed_forms)
 FIRST_ORTHOGONAL_PINS = [
     ("equally-spaced", 1, "0x1.0000000000000p+0"),
     ("equally-spaced", 2, "0x1.5555555555556p-1"),
@@ -485,12 +501,12 @@ FIRST_ORTHOGONAL_PINS = [
     ("equally-spaced", 63, "0x1.0000000000000p-5"),
     ("equally-spaced", 255, "0x1.0000000000000p-7"),
     ("rational", [(5, 3), (7, 2)], None),                      # r = (0, 6, 10, 21)
-    ("rational", [(3, 2), (5, 2)], "0x1.0c152382d7366p+1"),    # r = (0, 2, 3, 5)
+    ("rational", [(3, 2), (5, 2)], "0x1.0c152382d7365p+1"),    # r = (0, 2, 3, 5)
     ("rationalized", ([0.0, 1.0, math.sqrt(2)], 1e-2), None),
     ("rationalized", ([0.0, 1.0, math.sqrt(2), math.sqrt(3)], 1e-2), None),
     # (1 + e^{-it}) (1 + e^{-i sqrt(2) t}) vanishes first at t = pi/sqrt(2)
     ("rationalized", ([0.0, 1.0, math.sqrt(2), 1.0 + math.sqrt(2)], 1e-3),
-     "0x1.1c5831add62e5p+1"),
+     "0x1.1c5831add62e4p+1"),
 ]
 
 
@@ -519,17 +535,116 @@ def test_first_orthogonal_time_is_pinned(nat, kind, arg, pinned):
         assert t_orth == pytest.approx(ref, rel=1e-6)
 
 
-def test_first_orthogonal_time_scan_memory_is_linear(nat):
-    spec = build_equally_spaced(255, 1.0, nat)
-    first_orthogonal_time(spec)  # imports scipy.optimize and numpy.fft outside the trace
+def test_pinned_zeros_are_the_closed_forms(nat):
+    # (1 + x^2)(1 + x^3) with x = e^{-2 pi i t/T} vanishes first at t = T/6
+    spec = build_rational([RationalRatio(3, 2), RationalRatio(5, 2)], 1.0, nat)
+    assert spec.r == (0, 2, 3, 5)
+    assert first_orthogonal_time(spec) == spec.T / 6 == 2 * math.pi / 3
+    spec = rationalized_spectrum([0.0, 1.0, math.sqrt(2), 1.0 + math.sqrt(2)], 1e-3, nat)
+    assert first_orthogonal_time(spec) == math.pi / math.sqrt(2)
+
+
+def _product_spectrum(a, b, consts):
+    """(1 + x^a)(1 + x^b): r = (0, a, b, a+b), first zero at T/(2 max(a, b))."""
+    spec = build_rational([RationalRatio(b, a), RationalRatio(a + b, a)], 1.0, consts)
+    assert spec.r == (0, a, b, a + b)
+    return spec
+
+
+def test_first_orthogonal_time_finds_the_first_of_two_close_zeros(nat):
+    # the zeros at T/(2b) and T/(2a) come close when b - a is small; a search
+    # that polished only scan minima returned the second one for these four
+    pairs = [(39, 41), (36, 37), (53, 55), (50, 51)]
+    pairs += [(a, b) for b in range(2, 32) for a in range(1, b) if math.gcd(a, b) == 1]
+    for a, b in pairs:
+        spec = _product_spectrum(a, b, nat)
+        zero = spec.T / (2 * b)
+        assert abs(first_orthogonal_time(spec) - zero) <= 2 * math.ulp(zero), (a, b)
+
+
+def test_first_orthogonal_time_never_returns_a_later_zero(nat):
+    # wider, the first zero is still the one found; when the two zeros come
+    # close, |dS/dt| shrinks with |cos(pi a/(2b))| and double sums land a few
+    # ulps from it (3 at most over b < 80)
+    for b in range(32, 60, 3):
+        for a in [a for a in range(1, b) if math.gcd(a, b) == 1]:
+            spec = _product_spectrum(a, b, nat)
+            zero = spec.T / (2 * b)
+            assert abs(first_orthogonal_time(spec) - zero) <= 4 * math.ulp(zero), (a, b)
+
+
+def _counting_slope(monkeypatch):
+    calls = []
+    slope = clockstates._overlap_sq_slope
+
+    def counted(w, t):
+        calls.append(t)
+        return slope(w, t)
+    monkeypatch.setattr(clockstates, "_overlap_sq_slope", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: build_rational([RationalRatio(5, 3), RationalRatio(7, 2), RationalRatio(113, 7),
+                              RationalRatio(997, 11)], 1.0, c),
+    lambda c: rationalized_spectrum([math.sqrt(n) for n in range(6)], 1e-3, c),
+], ids=["rational-41874", "sqrt-n-1e-3"])
+def test_none_is_certified_within_a_fixed_number_of_evaluations(nat, monkeypatch, build):
+    # every scan step is either certified free of zeros by its chord bound or
+    # narrowed until its minimum is polished; a Brent polish of every scan
+    # minimum below 2 pi/32 made 216k slope calls here.  The 32 (r_p + 1)
+    # scan points (1,340,000 and 1,445,856) take 16 B each as complex
+    # samples, and the rationalized fold and the bounds work a window at a time
+    spec = build(nat)
+    n_grid = 32 * (spec.r[-1] + 1)
+    calls = _counting_slope(monkeypatch)
     tracemalloc.start()
     try:
         t_orth = first_orthogonal_time(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
-    assert t_orth == pytest.approx(spec.T / spec.dimension, rel=1e-12)
+    assert t_orth is None
+    assert len(calls) <= 2000
+    assert peak <= 32 * n_grid
+
+
+def test_first_orthogonal_time_needs_no_scipy():
+    # scipy set to None in sys.modules makes any import of it fail
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import test_clockstates as t\n"
+        "from qclock import first_orthogonal_time, natural_units\n"
+        "res = [first_orthogonal_time(t._pinned_spectrum(k, a, natural_units()))\n"
+        "       for k, a, _ in t.FIRST_ORTHOGONAL_PINS]\n"
+        "print(json.dumps([None if x is None else x.hex() for x in res]))\n")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clockstates.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got == [None if pin is None else float.fromhex(pin).hex()
+                   for _, _, pin in FIRST_ORTHOGONAL_PINS]
+
+
+def test_first_orthogonal_time_scan_memory_is_linear(nat, monkeypatch):
+    spec = build_equally_spaced(255, 1.0, nat)
+    first_orthogonal_time(spec)  # imports numpy.fft outside the trace
+    calls = _counting_slope(monkeypatch)
+    tracemalloc.start()
+    try:
+        t_orth = first_orthogonal_time(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the zero T/256 is scan point 32 of 8192: a few narrowings, then a
+    # bisection from the narrowed step down to adjacent floats
+    assert t_orth == spec.T / 256
+    assert len(calls) <= 40
 
 
 def test_first_orthogonal_time_refuses_scans_past_the_cap():
@@ -543,6 +658,14 @@ def test_first_orthogonal_time_refuses_scans_past_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_first_orthogonal_time_refuses_overflowing_frequencies(si):
+    # E_1/hbar = 2 pi/T is past the float range at T = 1e-310 s, so no bound
+    # on the search holds; a scan with an infinite curvature term never ends
+    spec = build_equally_spaced(1, 1e-310, si)
+    with pytest.raises(InvalidArgument, match="overflow"):
+        first_orthogonal_time(spec)
 
 
 def test_first_orthogonal_time_rational(nat):

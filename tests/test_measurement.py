@@ -474,6 +474,7 @@ def test_a_measurement_shares_its_arrays_and_freezes_no_caller_array(nat):
     ([1, 2], [0.0, 0.25, 0.5], "equal-length"),
     ([3], [0.0, 0.25, 0.5], "equal-length"),
     ([[1, 2]], [[0.0, 0.5]], "equal-length"),
+    ([0, 0], [0.0, 0.5], "shots must be >= 1"),
 ])
 def test_a_record_refuses_negative_or_misshapen_counts(counts, taus, match):
     with pytest.raises(InvalidArgument, match=match):
