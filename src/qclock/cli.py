@@ -245,7 +245,8 @@ def _state_from_flag(text: str, spec: ClockSpectrum, povm: ClockPOVM):
     if kind == "taum":
         if not 0 <= number <= povm.z:
             raise InvalidArgument(f"grid index {number} outside 0..{povm.z}")
-        return time_state(spec, float(povm.tau_grid[number]))
+        # the record's dial formula, tau_grid[K] to the bit, and no grid built
+        return time_state(spec, povm.tau_0 + number * (spec.T / povm.n_outcomes))
     if kind == "energy":
         if not 0 <= number <= spec.p:
             raise InvalidArgument(f"energy index {number} outside 0..{spec.p}")

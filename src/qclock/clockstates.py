@@ -58,11 +58,11 @@ to an offset phase u_n per level, so sum_m f_m |tau_m><tau_m| is the
 circulant u_n conj(u_k) c[(n-k) mod (p+1)] with c = fft(f)/(p+1): the
 Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 
-All operations are pure; (p+1) x (p+1) matrices and the dense dial grid are
-capped at dimension p+1 <= 4096, and dial rows and scans at 2^30 points.
-The dense grid is built only on request (grid_amplitudes); measurement folds
-the grid one row and one window of _BLOCK dial times at a time and never
-holds it.
+All operations are pure.  A path whose arrays grow with z, N or p is charged
+its peak in bytes by spectrum._charge before it allocates; the exact residual,
+O(p+1), is not.  The dense grid is built only on request (grid_amplitudes);
+measurement folds the grid one row and one window of _BLOCK dial times at a
+time and never holds it.
 """
 
 from __future__ import annotations
@@ -76,27 +76,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum
-from .spectrum import MAX_DIAL_POINTS, ClockSpectrum, SpectrumKind
+from .spectrum import ClockSpectrum, SpectrumKind, _charge
 
-MAX_DENSE_DIMENSION = 4096
 # dial times a measurement works on at a time.  A power of two, so every
 # window starts on a SIMD lane boundary and an elementwise pass over the
 # windows rounds each entry as one pass over the whole dial would.
 _BLOCK = 2**14
 # |overlap| below which a polished minimum counts as an orthogonal dial time
 _ZERO_TOL = 1e-9
-
-
-def _check_dense(spec: ClockSpectrum) -> None:
-    if spec.dimension > MAX_DENSE_DIMENSION:
-        raise InvalidArgument(
-            f"dense assembly capped at dimension {MAX_DENSE_DIMENSION}, got {spec.dimension}")
-
-
-def _check_dial(zp1: int) -> None:
-    """Refuse a dial of more than MAX_DIAL_POINTS times before anything is allocated."""
-    if zp1 > MAX_DIAL_POINTS:
-        raise InvalidArgument(f"dial grids capped at z+1 <= 2^30, got {zp1}")
 
 
 def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
@@ -145,7 +132,6 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
     folds the rows a window at a time keeps O(window) memory beside the
     16 B per dial time of the table.
     """
-    _check_dial(zp1)
     if not math.isfinite(tau_0):
         raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
     norm = math.sqrt(spec.dimension)
@@ -185,8 +171,9 @@ def _outcome_count(spec: ClockSpectrum, z: int) -> int:
 def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
     """Matrix of time-state amplitudes, column m = |tau_m>, shape (p+1, z+1)."""
     zp1 = _outcome_count(spec, z)
-    _check_dense(spec)
-    # fromiter fills the grid row by row, holding one row beside it
+    # fromiter fills the grid row by row; beside it sit the twiddle table and
+    # the last and the next row with their indices, 64 B per dial time
+    _charge(16 * (spec.dimension + 4) * zp1, f"a {spec.dimension} x {zp1} dial grid")
     return np.fromiter(_dial_rows(spec, zp1, tau_0)(0, zp1), dtype=np.dtype((complex, zp1)),
                        count=spec.dimension)
 
@@ -237,7 +224,7 @@ class ClockPOVM:
     @functools.cached_property
     def tau_grid(self) -> np.ndarray:
         """The dial times tau_m, built once and read-only."""
-        _check_dial(self.z + 1)
+        _charge(8 * (self.z + 1), f"a dial of {self.z + 1} times")
         # tau_0 + m * (T/(z+1)) in place, 8 B per dial time
         grid = np.arange(self.z + 1, dtype=float)
         grid *= self.spectrum.T / (self.z + 1)
@@ -249,7 +236,7 @@ class ClockPOVM:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
         if not 0 <= m <= self.z:
             raise InvalidArgument(f"outcome index {m} outside 0..{self.z}")
-        _check_dense(self.spectrum)
+        _charge(16 * self.spectrum.dimension ** 2, "a POVM element")
         tau_m = Fraction(self.tau_0) + m * Fraction(self.spectrum.T) / (self.z + 1)
         v = time_state(self.spectrum, tau_m).amplitudes
         return float(self.weight) * np.outer(v, v.conj())
@@ -280,7 +267,6 @@ def evolve(state: TimeState, dt: float) -> TimeState:
 
 
 def _check_frame(spec: ClockSpectrum, zp1: int, tau_0) -> None:
-    _check_dense(spec)
     if zp1 > 2**62:
         raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
     if not math.isfinite(tau_0):
@@ -308,6 +294,7 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     entry of the sum is exactly 1 or 0.  Costs O((p+1)^2) whatever z is.
     """
     _check_frame(spec, zp1, tau_0)
+    _charge(73 * spec.dimension ** 2, "a frame operator")
     res = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
     q = (res[:, None] - res[None, :] + zp1 // 2) % zp1 - zp1 // 2
     d = (np.zeros(spec.dimension) if spec.has_exact_integers else
@@ -389,7 +376,7 @@ def _dial_circulant(spec: ClockSpectrum, tau_0, f) -> np.ndarray:
     entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)], c = fft(f)/(p+1):
     one length-(p+1) FFT and a gather, O((p+1)^2) instead of a grid product.
     """
-    _check_dense(spec)
+    _charge(48 * spec.dimension ** 2, "a dial operator")
     c = np.fft.fft(f) / spec.dimension
     n = np.arange(spec.dimension)
     # n - k lies in [-p, p], and a negative index wraps mod p+1
@@ -420,13 +407,17 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
     raises.  Either way tau_hat generates energy shifts.
     """
     spec = op.spectrum
-    phases = np.exp(-1j * delta_e * op.tau_grid / spec.hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * delta_e * op.tau_grid / spec.hbar)
+    if not np.isfinite(phases).all():
+        raise InvalidArgument(f"energy shift {delta_e!r} gives non-finite phases")
     return _dial_circulant(spec, float(op.tau_grid[0]), phases)
 
 
 def overlap_magnitude(spec: ClockSpectrum, dt):
     """|<t0 | t0 + dt>| for the flat dial state; independent of t0."""
     dt_arr = np.atleast_1d(np.asarray(dt, dtype=float))
+    _charge(32 * spec.dimension * dt_arr.size, "the overlap phases")
     phases = np.exp(-1j * np.outer(spec.levels / spec.hbar, dt_arr))
     out = np.abs(phases.mean(axis=0))
     return out if np.ndim(dt) else float(out[0])
@@ -458,15 +449,15 @@ def first_orthogonal_time(spec: ClockSpectrum, *,
                           samples_per_cycle: int = 32) -> float | None:
     """First dt > 0 with |S| = |<t0|t0+dt>| < _ZERO_TOL, or None if there is none.
 
-    On each of N = max(512, samples_per_cycle (r_p+1)) <= 2^30 scan steps h = T/N,
+    On each of N = max(512, samples_per_cycle (r_p+1)) scan steps h = T/N,
     |S| >= (distance from 0 to the chord) - mean(w_n^2) h^2/8 - 4 eps (p+1 + T max w_n),
     w_n = E_n/hbar, the last term a rounding allowance (the module docstring sets out
     the search).  None certifies |S| >= _ZERO_TOL on (0, T - h], on all of (0, T) if exact.
     """
-    n_grid = max(512, samples_per_cycle * (spec.r[-1] + 1))
-    if n_grid > MAX_DIAL_POINTS:
-        raise InvalidArgument(f"orthogonality scans capped at 2^30 points, got {n_grid} = "
-                              f"{samples_per_cycle} x (r_p+1)")
+    if not isinstance(samples_per_cycle, (int, np.integer)) or samples_per_cycle < 1:
+        raise InvalidArgument(f"samples_per_cycle must be an int >= 1, got {samples_per_cycle!r}")
+    n_grid = max(512, int(samples_per_cycle) * (spec.r[-1] + 1))
+    _charge((24 if spec.has_exact_integers else 17) * n_grid, f"a scan of {n_grid} points")
     with np.errstate(over="ignore"):  # an E_n/hbar past the float range is refused
         w, h = spec.levels / spec.hbar, spec.T / n_grid
         curv = float(np.mean((w * h) ** 2)) / 8  # the curvature term of one scan step

@@ -24,7 +24,7 @@ class InvalidConstants(InvalidArgument):
 
 
 class CapacityError(QClockError):
-    """An exact integer grew past the configured big-integer budget."""
+    """A request past a budget: an exact integer's size, or a call's bytes."""
 
     code = "capacity-error"
 

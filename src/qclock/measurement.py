@@ -11,11 +11,11 @@ observed tau_m; a linear average would be biased by up to T/2 at the period
 seam.
 
 Memory per dial time (bin).  A measurement keeps 24 B: probs, tau_grid and
-counts, 8 B each, and the distribution and records share them rather than
-copy.  It holds for a moment at most 16 B more, one item at a time: the
-twiddle table of an exact spectrum while the amplitudes are folded, the CDF
-(8 B) while sample draws, and the complex summands while circular_mean adds
-them.  So an exact measurement peaks near 40 B per bin, plus windows of
+counts, 8 B each, shared by the distribution and records.  It holds for a
+moment at most 16 B more, one item at a time: the twiddle table of an exact
+spectrum while the amplitudes are folded, the CDF (8 B) while sample draws,
+and the complex summands while circular_mean adds them.  So it peaks near 40 B
+per bin, charged by outcome_probabilities before it allocates, plus windows of
 clockstates._BLOCK bins and sample's chunks of up to 2^20 draws.  The kernels
 work the dial a window at a time, and every value is computed elementwise or
 by the same one np.sum as a single pass, so the block size changes no bit.
@@ -31,6 +31,7 @@ import numpy as np
 from .clockstates import ClockPOVM, TimeState, _blocks, _dial_rows
 from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
                      NoEstimate)
+from .spectrum import _charge
 
 # tolerated drift of sum(P) away from 1 before a distribution is rejected
 SUM_TOLERANCE = 1e-6
@@ -123,6 +124,7 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # also refuses nan
             raise InvalidArgument("state vector must be normalized")
     zp1 = povm.n_outcomes
+    _charge(40 * zp1, f"a measurement of {zp1} dial times")
     rows = _dial_rows(spec, zp1, povm.tau_0)
     weight = float(povm.weight)
     probs = np.empty(zp1)

@@ -34,10 +34,14 @@ from .units import ConstantsSet, natural_units
 
 # r_p above this default budget aborts spectrum construction.
 DEFAULT_INTEGER_BUDGET = 2**256
-# points on one dial row or scan: the int64 gather index (r_n mod N) m must
-# stay below 2^63, and N <= 2^30 keeps it below 2^60.  An equally spaced
-# spectrum of more levels could never be read on a complete dial.
-MAX_DIAL_POINTS = 2**30
+# bytes a call may peak at, charged by _charge before it allocates.  A gathered
+# dial holds a 16 B twiddle per point, so N <= 2^28 and (r_n mod N) m < 2^56.
+_BYTE_BUDGET = 2**32
+
+
+def _charge(nbytes: int, what: str) -> None:
+    if nbytes > _BYTE_BUDGET:
+        raise CapacityError(f"{what} needs {nbytes} bytes, past the budget of {_BYTE_BUDGET} bytes")
 
 
 class SpectrumKind(enum.Enum):
@@ -147,10 +151,10 @@ def build_equally_spaced(p: int, T: float, consts: ConstantsSet | None = None) -
     consts = consts or natural_units()
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise InvalidArgument(f"p must be an integer >= 1, got {p!r}")
-    if p + 1 > MAX_DIAL_POINTS:
-        raise InvalidArgument(f"equally spaced spectra capped at p+1 <= 2^30, got {p + 1}")
     if not (T > 0 and math.isfinite(T)):
         raise InvalidArgument(f"T must be positive, got {T!r}")
+    # per level: levels, copy, diff and mask (25 B), two r tuples (16 B), an int (32 B)
+    _charge(73 * (p + 1), f"an equally spaced spectrum of {p + 1} levels")
     step = 2.0 * math.pi * consts.hbar / T
     levels = step * np.arange(p + 1)
     return ClockSpectrum(levels, tuple(range(p + 1)), float(T), consts.hbar,

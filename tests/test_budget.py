@@ -1,0 +1,161 @@
+"""The byte budget: every path that grows with z, N or p is charged its peak
+before it allocates, and the exact completeness residual is never charged."""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qclock import (CapacityError, ClockPOVM, ClockSpectrum, SpectrumKind,
+                    build_equally_spaced, cli, continuous_identity_residual,
+                    first_orthogonal_time, frame_operator, grid_amplitudes,
+                    hermitian_time_operator, identity_residual,
+                    overlap_magnitude, spectrum)
+
+# the budget the charges are checked against; a run the budget admits may
+# peak 2 MiB past it (windows of 2^14 dial times, small arrays, interpreter
+# objects), and a refused one allocates less than 1 MiB
+BUDGET = 64 * 2**20
+SLACK = 2 * 2**20
+
+
+def _two_level(r_1: int, kind: SpectrumKind) -> ClockSpectrum:
+    """E = (0, 1) with r = (0, r_1): T = 2 pi r_1 in natural units."""
+    epsilon = 1e-3 if kind is SpectrumKind.RATIONALIZED else None
+    return ClockSpectrum([0.0, 1.0], (0, r_1), 2 * math.pi * r_1, 1.0, kind, epsilon)
+
+
+def _rationalized(d: int) -> ClockSpectrum:
+    """d levels just off r_n = n, so the residual takes the eigenvalue path."""
+    return ClockSpectrum(np.arange(d) * (1 + 1e-7), range(d), 2 * math.pi, 1.0,
+                         SpectrumKind.RATIONALIZED, 1e-3)
+
+
+def _cli_measure(tmp_path, state):
+    """measure on the p = 5 equally spaced clock with z+1 = n outcomes; few
+    shots, since sample's chunk of draws (16 B a shot) sits beside the charge."""
+    spec = tmp_path / "eq.spec"
+    spectrum.write_spectrum(build_equally_spaced(5, 1.0), str(spec))
+
+    def run(n):
+        return cli.main(["measure", "--spectrum", str(spec), "--z", str(n - 1),
+                         "--state", state, "--shots", "1000", "--seed", "1",
+                         "--units", "natural", "--out", str(tmp_path / "m.json")])
+    run(64)  # the parser and numpy's lazy imports, outside the trace
+    return run
+
+
+def _overlaps(tmp_path):
+    """two levels, n offsets"""
+    spec, dt = build_equally_spaced(1, 1.0), np.linspace(0.0, 1.0, BUDGET // 64 + 1)
+    return lambda n: overlap_magnitude(spec, dt[:n])
+
+
+def _tau_grid(tmp_path):
+    spec = build_equally_spaced(3, 1.0)
+    return lambda n: ClockPOVM(spec, n - 1).tau_grid
+
+
+def _grid(tmp_path):
+    """four levels: the 4 x (z+1) grid and as much again beside it"""
+    spec = build_equally_spaced(3, 1.0)
+    return lambda n: grid_amplitudes(spec, n - 1)
+
+
+def _scan(kind):
+    return lambda tmp_path: lambda n: first_orthogonal_time(_two_level(n - 1, kind),
+                                                            samples_per_cycle=1)
+
+
+# name: (the charge in bytes at size n, make(tmp_path) -> run(n)).  A size
+# counts dial times, scan points, offsets or levels, and one unit is one more.
+CHARGES = {
+    "measure-t": (lambda n: 40 * n, lambda tmp_path: _cli_measure(tmp_path, "t:0.3")),
+    "measure-taum": (lambda n: 40 * n, lambda tmp_path: _cli_measure(tmp_path, "taum:3")),
+    "tau_grid": (lambda n: 8 * n, _tau_grid),
+    "exact-scan": (lambda n: 24 * n, _scan(SpectrumKind.RATIONAL)),
+    "rationalized-scan": (lambda n: 17 * n, _scan(SpectrumKind.RATIONALIZED)),
+    "grid_amplitudes": (lambda n: 16 * 8 * n, _grid),
+    "overlap_magnitude": (lambda n: 32 * 2 * n, _overlaps),
+    "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
+        build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
+    "dial-circulant": (lambda d: 48 * d * d, lambda tmp_path: lambda d: hermitian_time_operator(
+        build_equally_spaced(d - 1, 1.0))),
+    "frame-eigvalsh": (lambda d: 73 * d * d, lambda tmp_path: lambda d: identity_residual(
+        _rationalized(d), d - 1)),
+    "frame_operator": (lambda d: 73 * d * d, lambda tmp_path: lambda d: frame_operator(
+        _rationalized(d), d - 1)),
+    "build_equally_spaced": (lambda n: 73 * n, lambda tmp_path: lambda n: build_equally_spaced(
+        n - 1, 1.0)),
+}
+
+
+def _largest(charge) -> int:
+    """The largest size whose charge is within BUDGET."""
+    lo, hi = 1, 2
+    while charge(hi) <= BUDGET:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if charge(mid) <= BUDGET else (lo, mid)
+    return lo
+
+
+def _traced(call, n):
+    """call(n) under tracemalloc: what it returned or the CapacityError it
+    raised, and its peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call(n)
+        except CapacityError as exc:
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(CHARGES))
+def test_each_path_is_charged_its_peak(tmp_path, monkeypatch, capsys, name):
+    charge, make = CHARGES[name]
+    cli_run = name.startswith("measure")
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", BUDGET)
+    run = make(tmp_path)
+    n = _largest(charge)
+    assert charge(n) <= BUDGET < charge(n + 1)
+    # the largest size the budget admits peaks within the budget and its slack
+    outcome, peak = _traced(run, n)
+    assert outcome == 0 if cli_run else not isinstance(outcome, CapacityError)
+    assert peak <= BUDGET + SLACK
+    capsys.readouterr()
+    # one unit more is refused before anything is allocated
+    outcome, peak = _traced(run, n + 1)
+    assert peak < 2**20
+    if cli_run:
+        assert outcome == 1
+        document = json.loads(capsys.readouterr().err)
+        assert document["error"] == "capacity-error"
+        message = document["message"]
+    else:
+        assert isinstance(outcome, CapacityError)
+        message = str(outcome)
+    assert f"needs {charge(n + 1)} bytes, past the budget of {BUDGET} bytes" in message
+
+
+def test_the_budget_keeps_gathered_dial_indices_in_int64():
+    # a gathered dial holds a 16 B twiddle per point, so its N is at most
+    # budget/16, and the gather index (r_n mod N) m stays below N^2
+    assert (spectrum._BYTE_BUDGET // 16) ** 2 < 2**63
+
+
+def test_the_exact_residual_is_never_charged(tmp_path, capsys):
+    spec = build_equally_spaced(300_000, 1.0)
+    assert identity_residual(spec, 300_000) == 0.0
+    assert continuous_identity_residual(spec, 2 * 300_001) == 0.0
+    path = tmp_path / "eq.spec"
+    spectrum.write_spectrum(build_equally_spaced(5000, 1.0), str(path))
+    code = cli.main(["check-identity", "--spectrum", str(path), "--units", "natural"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["residual"] == 0.0

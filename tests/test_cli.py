@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -315,8 +316,10 @@ def test_sizes_past_the_dial_cap_exit_1_naming_it(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert out == ""
     document = json.loads(err)
-    assert document["error"] == "invalid-argument"
-    assert "2^30" in document["message"]
+    # refused by the byte budget, before the spectrum or the dial is allocated
+    assert document["error"] == "capacity-error"
+    assert re.fullmatch(r".* needs \d+ bytes, past the budget of 4294967296 bytes",
+                        document["message"])
     assert not (tmp_path / "big.spec").exists()
 
 
@@ -652,9 +655,11 @@ def test_histogram_spells_what_csv_writer_spells(tmp_path, data, n):
 
 # --- fuzzed argv ---------------------------------------------------------------
 
-# Sizes stay small: the 2^30-point dial cap still admits allocations of many GiB,
-# so an uncapped --z, --p, --shots or sweep step count would test the machine,
-# not the program.
+# Valid sizes stay small, so that every example runs in milliseconds.  Out of
+# range, --p and --z may also be huge: the byte budget refuses them before
+# anything is allocated (measure, build, bounds, sweep), or they cost O(p)
+# (check-identity).  --shots stays capped: sample's time grows with the shots,
+# and time is not something the byte budget bounds.
 CAP = 10**4
 JUNK = ["nan", "-nan", "inf", "-inf", "Infinity", "-0", "0", "-1", "1e308", "1e400",
         "-1e400", "5e-324", "1e-320", "0x10", "1_0", "1e", "", " ", "\x00", "é", "--",
@@ -662,9 +667,11 @@ JUNK = ["nan", "-nan", "inf", "-inf", "Infinity", "-0", "0", "-1", "1e308", "1e4
 junk = st.one_of(st.sampled_from(JUNK), st.text(max_size=6))
 wide = st.one_of(junk, st.floats().map(repr), st.integers(-10**40, 10**40).map(str))
 small_ints = st.integers(1, CAP).map(str)
-# what a capped flag gets in place of a valid value: nothing int() reads above CAP
-CAPPED_WIDE = {flag: st.one_of(st.sampled_from(JUNK), st.integers(-10**40, 0).map(str))
-               for flag in ("--p", "--z", "--shots")}
+# what a size flag gets in place of a valid value: junk, a size below 1, or
+# for --p and --z a size far past the byte budget
+below = st.one_of(st.sampled_from(JUNK), st.integers(-10**40, 0).map(str))
+huge = st.integers(2**40, 10**40).map(str)
+CAPPED_WIDE = {"--p": below | huge, "--z": below | huge, "--shots": below}
 numbers = st.floats(1e-3, 1e3).map(repr)
 seeds = st.integers(0, 2**70).map(str)
 ratios = st.lists(st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**6))

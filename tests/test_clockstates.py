@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclock import (ClockPOVM, ClockSpectrum, IncompatibleStates,
+from qclock import (CapacityError, ClockPOVM, ClockSpectrum, IncompatibleStates,
                     InvalidArgument, RationalRatio, SpectrumKind,
                     UnsupportedSpectrum, build_equally_spaced, build_rational,
                     clockstates, continuous_identity_residual,
@@ -24,6 +24,9 @@ from qclock import (ClockPOVM, ClockSpectrum, IncompatibleStates,
 
 from oracles import (dial_operator_naive, first_zero_scan, frame_residual_naive,
                      gram_matrix_naive, random_rational_fracs, turns_fraction)
+
+# what a refusal by the byte budget says
+BUDGET_MESSAGE = r"needs \d+ bytes, past the budget of \d+ bytes"
 
 
 def rat0621(consts=None):
@@ -290,11 +293,18 @@ def test_identity_residual_rejects_small_z(nat):
 
 
 def test_dense_assembly_dimension_cap(nat):
-    spec = build_equally_spaced(4096, 1.0, nat)  # dimension 4097 > cap
-    with pytest.raises(InvalidArgument):
-        grid_amplitudes(spec, 4096)
-    with pytest.raises(InvalidArgument):
-        continuous_identity_residual(spec, 2 * 4098)
+    # dimension 4097 is admitted; a 4097 x 2^20 grid needs 64 GiB and is
+    # refused before anything is allocated
+    spec = build_equally_spaced(4096, 1.0, nat)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=BUDGET_MESSAGE):
+            grid_amplitudes(spec, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert continuous_identity_residual(spec, 2 * 4098) == 0.0
 
 
 def test_gram_matrix_orthonormal(nat):
@@ -417,6 +427,15 @@ def test_time_operator_never_builds_the_dial_grid(nat, monkeypatch):
         spec.levels, spec.hbar, taus, taus))) < 1e-12 * spec.T
     assert np.max(np.abs(U - dial_operator_naive(
         spec.levels, spec.hbar, taus, shift_phases(spec, taus, delta_e)))) < 1e-12
+
+
+@pytest.mark.parametrize("delta_e", [math.nan, math.inf, -math.inf, 1e308])
+def test_energy_shift_refuses_non_finite_phases(nat, delta_e):
+    # 1e308 is finite, but 1e308 tau_m/hbar overflows at tau_m = 2.5, 5, 7.5;
+    # a RuntimeWarning on the way would fail the test too
+    op = hermitian_time_operator(build_equally_spaced(3, 10.0, nat))
+    with pytest.raises(InvalidArgument, match="energy shift"):
+        energy_shift_unitary(op, delta_e)
 
 
 # --- POVM object ----------------------------------------------------------------
@@ -648,16 +667,28 @@ def test_first_orthogonal_time_scan_memory_is_linear(nat, monkeypatch):
 
 
 def test_first_orthogonal_time_refuses_scans_past_the_cap():
-    # 32 (r_p + 1) = 2^30 + 32 samples; refused before anything is allocated
+    # 32 (r_p + 1) = 2^30 + 32 samples, 24 GiB; refused before anything is allocated
     spec = _integer_spectrum((0, 2**25))
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidArgument, match="2\\^30"):
+        with pytest.raises(CapacityError, match=BUDGET_MESSAGE):
             first_orthogonal_time(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("samples", [100.5, 32.0, 0, -3, "32", None])
+def test_first_orthogonal_time_refuses_a_bad_samples_per_cycle(nat, samples):
+    with pytest.raises(InvalidArgument, match="samples_per_cycle"):
+        first_orthogonal_time(build_equally_spaced(3, 1.0, nat), samples_per_cycle=samples)
+
+
+def test_first_orthogonal_time_takes_numpy_integer_samples(nat):
+    spec = build_equally_spaced(3, 1.0, nat)
+    assert first_orthogonal_time(spec, samples_per_cycle=np.int64(32)) == \
+        first_orthogonal_time(spec)
 
 
 def test_first_orthogonal_time_refuses_overflowing_frequencies(si):
