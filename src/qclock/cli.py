@@ -24,12 +24,13 @@ bit.  ``result.sampler`` is the id ``measurement.SAMPLER`` of the draw
 behind the counts (numpy PCG64 from ``default_rng(seed)``, inverse CDF,
 uniforms sorted in chunks of 2^20), and ``result.counts`` lists one count per
 dial time.  Version 1 listed every dial time under ``result.tau_grid`` and had
-no ``schema``.  The ``measure`` CSV, rows ``m,tau_m,count,frequency``, is
-unchanged: the text ``csv.writer`` would write, CRLF lines included, and now
-the only place where each ``tau_m`` is spelled out.  Usage errors exit with
-status 2; domain errors exit 1 after printing a structured message naming the
-violated precondition (e.g. ``schwarzschild-violation``), and so does a file
-that cannot be read or written, whose message names the path.
+no ``schema``.  The ``measure`` CSV has rows ``m,count,frequency``, the text
+``csv.writer`` would write, CRLF lines included.  It does not list the dial
+times: ``tau_m`` is rebuilt from ``result.dial``, the one place where the dial
+is given.  Usage errors exit with status 2; domain errors exit 1 after
+printing a structured message naming the violated precondition (e.g.
+``schwarzschild-violation``), and so does a file that cannot be read or
+written, whose message names the path.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .bounds import ClockBody, bound_report
 from .clockstates import ClockPOVM, identity_residual, time_state
 from .errors import InvalidArgument, NoEstimate, QClockError
 from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
-from .spectrum import (ClockSpectrum, RationalRatio, build_equally_spaced,
+from .spectrum import (ClockSpectrum, RationalRatio, _charge, build_equally_spaced,
                        build_rational, max_integer, rationalized_spectrum,
                        read_spectrum, write_spectrum)
 from .units import resolve_constants
@@ -193,6 +194,10 @@ def cmd_build(args) -> int:
     if args.kind == "equally-spaced":
         if args.p is None or args.T is None:
             raise InvalidArgument("equally-spaced build needs --p and --T")
+        # the spectrum, its file (a repr per level, then their join) and the
+        # summary's r list every level: tracemalloc up to 171 B per level
+        # (CODATA, p = 10^5).  A listed spectrum is bounded by its argv.
+        _charge(176 * (args.p + 1), f"a spectrum file and summary of {args.p + 1} levels")
         spec = build_equally_spaced(args.p, args.T, consts)
     elif args.kind == "rational":
         if args.e1 is None:
@@ -257,23 +262,23 @@ def _state_from_flag(text: str, spec: ClockSpectrum, povm: ClockPOVM):
 
 
 def _write_histogram(record, path: str) -> None:
-    """The csv.writer text of rows (m, tau_m, count, count/shots), slice by slice.
+    """The csv.writer text of rows (m, count, count/shots), slice by slice.
 
     Lines end in CRLF, the csv default dialect; no number spelling needs
     quoting.  Only a few distinct counts occur, so the tail of a line, from the
     comma before the count on, is spelled once per count.  Each slice is one
-    list of parts [m, ",", tau_m, tail] per line, joined once.
+    list of parts [m, tail] per line, joined once.  The dial times are not
+    listed: the JSON record's result.dial states them.
     """
-    counts, taus = record.counts, record.tau_grid
+    counts = record.counts
     tail = {k: f",{k},{k / record.shots!r}\r\n" for k in np.unique(counts).tolist()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("m,tau_m,count,frequency\r\n")
+        fh.write("m,count,frequency\r\n")
         for start in range(0, counts.size, _SLICE):
             stop = min(start + _SLICE, counts.size)
-            parts = [","] * (4 * (stop - start))
-            parts[0::4] = map(str, range(start, stop))
-            parts[2::4] = map(repr, taus[start:stop].tolist())
-            parts[3::4] = map(tail.__getitem__, counts[start:stop].tolist())
+            parts = [""] * (2 * (stop - start))
+            parts[0::2] = map(str, range(start, stop))
+            parts[1::2] = map(tail.__getitem__, counts[start:stop].tolist())
             fh.write("".join(parts))
 
 
@@ -350,6 +355,10 @@ def cmd_sweep(args) -> int:
     param, lo, hi, steps = _parse_sweep(args.sweep)
     if param == "T" and args.spectrum:
         raise InvalidArgument("sweeping T requires the --p route, not --spectrum")
+    # per step: the swept value and a report of eleven fields, held until the
+    # CSV is written; tracemalloc reads 515 to 537 B per step, the list of
+    # rows growing in jumps
+    _charge(544 * steps, f"a sweep of {steps} steps")
     # only a T sweep changes the spectrum from step to step
     fixed = None if param == "T" else _spectrum_from_args(args, consts)
     rows = []

@@ -129,8 +129,9 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
     offset so large that they overflow gives nan rows, not warnings.  Every
     entry is computed elementwise, so a window holds the same bits as the
     same stretch of a full row; rows(0, zp1) yields full rows.  A caller that
-    folds the rows a window at a time keeps O(window) memory beside the
-    16 B per dial time of the table.
+    folds the rows a window at a time, and drops each row before it asks for
+    the next, keeps one window of memory beside the 16 B per dial time of the
+    table.
     """
     if not math.isfinite(tau_0):
         raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
@@ -148,6 +149,7 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
                 row = w[np.remainder(index, zp1, out=index)]
                 row *= un
                 yield row
+                del row, index  # so the next gather holds one row and one index
         return rows
     freqs = spec.levels / (2.0 * math.pi * spec.hbar)
 
@@ -158,6 +160,7 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
                 row = np.exp(-2j * math.pi * (f * taus))
                 row /= norm
             yield row
+            del row
     return rows
 
 
@@ -171,9 +174,9 @@ def _outcome_count(spec: ClockSpectrum, z: int) -> int:
 def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
     """Matrix of time-state amplitudes, column m = |tau_m>, shape (p+1, z+1)."""
     zp1 = _outcome_count(spec, z)
-    # fromiter fills the grid row by row; beside it sit the twiddle table and
-    # the last and the next row with their indices, 64 B per dial time
-    _charge(16 * (spec.dimension + 4) * zp1, f"a {spec.dimension} x {zp1} dial grid")
+    # fromiter fills the grid row by row; beside it sit the twiddle table, the
+    # window's m, and the next row with its gather index, 48 B per dial time
+    _charge(16 * (spec.dimension + 3) * zp1, f"a {spec.dimension} x {zp1} dial grid")
     return np.fromiter(_dial_rows(spec, zp1, tau_0)(0, zp1), dtype=np.dtype((complex, zp1)),
                        count=spec.dimension)
 
@@ -442,6 +445,7 @@ def _scan_overlaps(spec: ClockSpectrum, n_grid: int) -> np.ndarray:
     for start, stop in _blocks(n_grid):
         for row in rows(start, stop):
             s[start:stop] += row
+            del row
     return np.divide(s, math.sqrt(spec.dimension), out=s)
 
 

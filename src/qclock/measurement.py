@@ -132,10 +132,12 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
     # window of m at a time; no BLAS, whose threaded gemv leaves a worker
     # spinning after it returns
     for start, stop in _blocks(zp1):
-        amp = np.zeros(stop - start, dtype=complex)
-        for c, row in zip(psi.conj(), rows(start, stop)):
-            row *= c
+        amp, coeffs = np.zeros(stop - start, dtype=complex), iter(psi.conj())
+        # a plain loop, so no reused zip tuple keeps a row while the next is gathered
+        for row in rows(start, stop):
+            row *= next(coeffs)
             amp += row
+            del row
         probs[start:stop] = weight * np.abs(amp) ** 2
     del rows  # the twiddle table goes before the dial grid is built
     probs.setflags(write=False)

@@ -4,6 +4,8 @@ Everything here is deliberately naive: plain loops, float phases straight
 from the energies, grid searches.  None of it shares code with qclock
 internals, so agreement is evidence rather than tautology.
 """
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -177,3 +179,21 @@ def measure_v1_text(doc) -> str:
     result["tau_grid"] = dial_grid(doc["result"]["dial"]).tolist()
     v1["result"] = result
     return json.dumps(v1, sort_keys=True, indent=2) + "\n"
+
+
+def measure_csv_v1_text(doc, csv_text: str) -> str:
+    """The m,tau_m,count,frequency CSV that came with version 1 and early version 2
+    records, rebuilt from a parsed measure document and its m,count,frequency CSV.
+
+    Each tau_m comes from the document's dial entry and is spelled by csv.writer.
+    """
+    rows = list(csv.reader(io.StringIO(csv_text, newline="")))
+    assert rows[0] == ["m", "count", "frequency"]
+    taus = dial_grid(doc["result"]["dial"]).tolist()
+    assert [int(m) for m, _, _ in rows[1:]] == list(range(len(taus)))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["m", "tau_m", "count", "frequency"])
+    writer.writerows((int(m), tau, int(count), frequency)
+                     for (m, count, frequency), tau in zip(rows[1:], taus))
+    return out.getvalue()

@@ -1,8 +1,10 @@
-"""The byte budget: every path that grows with z, N or p is charged its peak
-before it allocates, and the exact completeness residual is never charged."""
+"""The byte budget: every path that grows with z, N, p, a sweep's steps or a
+spectrum file's size is charged its peak before it allocates, and the exact
+completeness residual is never charged."""
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -59,9 +61,19 @@ def _tau_grid(tmp_path):
 
 
 def _grid(tmp_path):
-    """four levels: the 4 x (z+1) grid and as much again beside it"""
+    """four levels: the 4 x (z+1) grid and three rows' worth beside it"""
     spec = build_equally_spaced(3, 1.0)
     return lambda n: grid_amplitudes(spec, n - 1)
+
+
+def _cli_build(tmp_path):
+    """build of an equally spaced spectrum of n levels, its file and its summary"""
+    def run(n):
+        return cli.main(["build", "--kind", "equally-spaced", "--p", str(n - 1), "--T", "1.0",
+                         "--units", "natural", "--spectrum-out", str(tmp_path / "eq.spec"),
+                         "--out", str(tmp_path / "b.json")])
+    run(64)
+    return run
 
 
 def _scan(kind):
@@ -77,7 +89,7 @@ CHARGES = {
     "tau_grid": (lambda n: 8 * n, _tau_grid),
     "exact-scan": (lambda n: 24 * n, _scan(SpectrumKind.RATIONAL)),
     "rationalized-scan": (lambda n: 17 * n, _scan(SpectrumKind.RATIONALIZED)),
-    "grid_amplitudes": (lambda n: 16 * 8 * n, _grid),
+    "grid_amplitudes": (lambda n: 16 * 7 * n, _grid),
     "overlap_magnitude": (lambda n: 32 * 2 * n, _overlaps),
     "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
         build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
@@ -89,7 +101,10 @@ CHARGES = {
         _rationalized(d), d - 1)),
     "build_equally_spaced": (lambda n: 73 * n, lambda tmp_path: lambda n: build_equally_spaced(
         n - 1, 1.0)),
+    "build-file": (lambda n: 176 * n, _cli_build),
 }
+# the cases that run qclock.cli.main, which answers with an exit status
+CLI_CASES = {"measure-t", "measure-taum", "build-file"}
 
 
 def _largest(charge) -> int:
@@ -101,6 +116,13 @@ def _largest(charge) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if charge(mid) <= BUDGET else (lo, mid)
     return lo
+
+
+def _refusal(capsys) -> str:
+    """The message of the capacity-error document a refused CLI run wrote."""
+    document = json.loads(capsys.readouterr().err)
+    assert document["error"] == "capacity-error"
+    return document["message"]
 
 
 def _traced(call, n):
@@ -120,7 +142,7 @@ def _traced(call, n):
 @pytest.mark.parametrize("name", sorted(CHARGES))
 def test_each_path_is_charged_its_peak(tmp_path, monkeypatch, capsys, name):
     charge, make = CHARGES[name]
-    cli_run = name.startswith("measure")
+    cli_run = name in CLI_CASES
     monkeypatch.setattr(spectrum, "_BYTE_BUDGET", BUDGET)
     run = make(tmp_path)
     n = _largest(charge)
@@ -135,9 +157,7 @@ def test_each_path_is_charged_its_peak(tmp_path, monkeypatch, capsys, name):
     assert peak < 2**20
     if cli_run:
         assert outcome == 1
-        document = json.loads(capsys.readouterr().err)
-        assert document["error"] == "capacity-error"
-        message = document["message"]
+        message = _refusal(capsys)
     else:
         assert isinstance(outcome, CapacityError)
         message = str(outcome)
@@ -159,3 +179,57 @@ def test_the_exact_residual_is_never_charged(tmp_path, capsys):
     code = cli.main(["check-identity", "--spectrum", str(path), "--units", "natural"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["result"]["residual"] == 0.0
+
+
+def _sweep_argv(tmp_path, steps):
+    return ["sweep", "--lc", "8", "--mass", "0.5", "--p", "4", "--T", "100",
+            "--units", "natural", "--sweep", f"theta:10:100:{steps}",
+            "--out-csv", str(tmp_path / "s.csv")]
+
+
+def _check_identity_argv(tmp_path, size):
+    """check-identity of an equally spaced spectrum file of size bytes, padded
+    with the blank lines that a reader skips."""
+    text = spectrum.dump_spectrum(build_equally_spaced(3, 1.0))
+    path = tmp_path / "padded.spec"
+    path.write_text(text + "\n" * (size - len(text)), encoding="utf-8")
+    return ["check-identity", "--spectrum", str(path), "--units", "natural"]
+
+
+# name: (bytes charged per sweep step or per byte of the spectrum file,
+# argv(tmp_path, n) for n steps or bytes, made before the trace starts)
+INPUT_CHARGES = {"sweep": (544, _sweep_argv), "check-identity": (64, _check_identity_argv)}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHARGES))
+def test_cli_inputs_are_charged_before_they_are_read(tmp_path, monkeypatch, capsys, name):
+    unit, make_argv = INPUT_CHARGES[name]
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", BUDGET)
+    n = _largest(lambda k: unit * k) + 1
+    argv = make_argv(tmp_path, n)
+    cli._parser()  # built once per process, outside the trace
+    outcome, peak = _traced(lambda _: cli.main(argv), n)
+    assert outcome == 1
+    assert peak < 2**20
+    message = _refusal(capsys)
+    assert f"needs {unit * n} bytes, past the budget of {BUDGET} bytes" in message
+    if name == "check-identity":  # one byte less is read
+        assert cli.main(make_argv(tmp_path, n - 1)) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_a_spectrum_without_a_size_is_read_no_further_than_the_budget(monkeypatch, capsys):
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", BUDGET)
+    code = cli.main(["check-identity", "--spectrum", "/dev/zero", "--units", "natural"])
+    assert code == 1
+    assert f"a spectrum file of {BUDGET // 64 + 1} or more characters" in _refusal(capsys)
+
+
+def test_a_sweep_peaks_within_its_charge(tmp_path, capsys):
+    # a sweep the budget admits runs for minutes under tracemalloc, so the
+    # charge per step is checked on a shorter one
+    argv = _sweep_argv(tmp_path, 4000)
+    assert cli.main(argv) == 0
+    outcome, peak = _traced(lambda _: cli.main(argv), 4000)
+    assert outcome == 0
+    assert peak <= 544 * 4000

@@ -21,7 +21,7 @@ from qclock import (ClockPOVM, QClockError, cli, codata2018, natural_units,
                     read_spectrum)
 from qclock.cli import _write, main
 
-from oracles import dial_grid, measure_v1_text
+from oracles import dial_grid, measure_csv_v1_text, measure_v1_text
 
 
 def dumps(document):
@@ -132,7 +132,7 @@ def test_measure_energy_state_uniform_no_estimate(tmp_path, capsys):
     assert len(counts) == 8
     assert sum(counts) == 4000
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "m,tau_m,count,frequency"
+    assert lines[0] == "m,count,frequency"
     assert len(lines) == 9
 
 
@@ -415,9 +415,10 @@ def test_measure_csv_matches_json_record(tmp_path, capsys):
     assert code == 0
     result = json.loads(json_path.read_text())["result"]
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [float(row["tau_m"]).hex() for row in rows] == [
-        tau.hex() for tau in dial_grid(result["dial"]).tolist()]
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["m", "count", "frequency"]
+    assert [int(row["m"]) for row in rows] == list(range(result["dial"]["n_outcomes"]))
     assert [int(row["count"]) for row in rows] == result["counts"]
     assert [float(row["frequency"]) for row in rows] == [
         count / 1000 for count in result["counts"]]
@@ -514,11 +515,12 @@ def test_measure_with_overflowing_dial_phases_writes_nothing(tmp_path, capsys):
     assert json.loads(err)["error"] == "invalid-distribution"
 
 
-# SHA-256 of the version 1 measure document on stdout and of its --csv histogram,
-# captured while outcome_probabilities still built the dense dial grid and sample
-# searched unsorted draws (the CSV: while csv.writer still spelled every row): a
-# change to the dial kernel, the sampler or the writers must leave seeded records
-# as they were.  A version 2 document is checked through its version 1 expansion.
+# SHA-256 of the version 1 measure document on stdout and of its --csv histogram
+# with the tau_m column, captured while outcome_probabilities still built the
+# dense dial grid and sample searched unsorted draws (the CSV: while csv.writer
+# still spelled every row): a change to the dial kernel, the sampler or the
+# writers must leave seeded records as they were.  A version 2 document and its
+# m,count,frequency CSV are checked through their older expansions.
 PINNED_MEASURE_DIGESTS = {
     "rational-default-z": (
         ["--spectrum", "rat.spec", "--state", "t:0.3"],
@@ -543,6 +545,15 @@ PINNED_MEASURE_V2_DIGESTS = {
 }
 
 
+# SHA-256 of the m,count,frequency CSV, for the same cases: the histograms above
+# with their tau_m column taken out
+PINNED_MEASURE_CSV_DIGESTS = {
+    "rational-default-z": "40ea7f8843bbcc467b2d02ebd5ce11d344474e15b06cc0369c99a6e092b60cd7",
+    "rational-tau0": "77954c418a46e3aaa0d2a1167a34e33359741ca1b076c9f3dc8d028aba9e6015",
+    "equally-spaced-z-1e5": "7bb3ad981d715471f83aeaeac286fe528cdec803bc57ce8414bbd7f92311d310",
+}
+
+
 @pytest.mark.parametrize("case", PINNED_MEASURE_DIGESTS)
 def test_seeded_measure_records_are_pinned(tmp_path, capsys, monkeypatch, case):
     # relative spectrum paths, since the path is part of the document
@@ -555,9 +566,12 @@ def test_seeded_measure_records_are_pinned(tmp_path, capsys, monkeypatch, case):
     code, out, _ = run_cli(capsys, "measure", *argv, "--units", "natural",
                            "--shots", "100000", "--seed", "11", "--csv", "h.csv")
     assert code == 0
-    assert hashlib.sha256(measure_v1_text(json.loads(out)).encode()).hexdigest() == digest
+    doc, histogram = json.loads(out), (tmp_path / "h.csv").read_bytes()
+    assert hashlib.sha256(measure_v1_text(doc).encode()).hexdigest() == digest
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MEASURE_V2_DIGESTS[case]
-    assert hashlib.sha256((tmp_path / "h.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(histogram).hexdigest() == PINNED_MEASURE_CSV_DIGESTS[case]
+    v1_histogram = measure_csv_v1_text(doc, histogram.decode("utf-8"))
+    assert hashlib.sha256(v1_histogram.encode()).hexdigest() == csv_digest
 
 
 # --- the streamed writer against json.dump ------------------------------------
@@ -634,8 +648,8 @@ def test_writer_memory_is_bounded_by_the_slice():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.sampled_from([1, 2, 4095, 4096, 4097, 9000]))
 def test_histogram_spells_what_csv_writer_spells(tmp_path, data, n):
-    # times of any sign and size, -0.0 and subnormals; counts with repeats and
-    # empty bins, so several lines share one tail
+    # counts with repeats and empty bins, so several lines share one tail; the
+    # record's times, of any sign and size, are not written
     taus = data.draw(arrays(np.float64, n, elements=st.floats(allow_nan=False,
                                                               allow_infinity=False)))
     counts = data.draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 1, 3])
@@ -647,19 +661,18 @@ def test_histogram_spells_what_csv_writer_spells(tmp_path, data, n):
     cli._write_histogram(record, str(path))
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
-    writer.writerow(["m", "tau_m", "count", "frequency"])
-    writer.writerows((m, tau, k, k / shots)
-                     for m, (tau, k) in enumerate(zip(taus.tolist(), counts.tolist())))
+    writer.writerow(["m", "count", "frequency"])
+    writer.writerows((m, k, k / shots) for m, k in enumerate(counts.tolist()))
     assert path.read_bytes() == expected.getvalue().encode()
 
 
 # --- fuzzed argv ---------------------------------------------------------------
 
 # Valid sizes stay small, so that every example runs in milliseconds.  Out of
-# range, --p and --z may also be huge: the byte budget refuses them before
-# anything is allocated (measure, build, bounds, sweep), or they cost O(p)
-# (check-identity).  --shots stays capped: sample's time grows with the shots,
-# and time is not something the byte budget bounds.
+# range, --p, --z and the step count of --sweep may also be huge: the byte
+# budget refuses them before anything is allocated (measure, build, bounds,
+# sweep), or they cost O(p) (check-identity).  --shots stays capped: sample's
+# time grows with the shots, and time is not something the byte budget bounds.
 CAP = 10**4
 JUNK = ["nan", "-nan", "inf", "-inf", "Infinity", "-0", "0", "-1", "1e308", "1e400",
         "-1e400", "5e-324", "1e-320", "0x10", "1_0", "1e", "", " ", "\x00", "é", "--",
@@ -667,11 +680,10 @@ JUNK = ["nan", "-nan", "inf", "-inf", "Infinity", "-0", "0", "-1", "1e308", "1e4
 junk = st.one_of(st.sampled_from(JUNK), st.text(max_size=6))
 wide = st.one_of(junk, st.floats().map(repr), st.integers(-10**40, 10**40).map(str))
 small_ints = st.integers(1, CAP).map(str)
-# what a size flag gets in place of a valid value: junk, a size below 1, or
-# for --p and --z a size far past the byte budget
+# what a size gets in place of a valid value: junk, a size below 1, or for
+# --p, --z and the steps of --sweep a size far past the byte budget
 below = st.one_of(st.sampled_from(JUNK), st.integers(-10**40, 0).map(str))
 huge = st.integers(2**40, 10**40).map(str)
-CAPPED_WIDE = {"--p": below | huge, "--z": below | huge, "--shots": below}
 numbers = st.floats(1e-3, 1e3).map(repr)
 seeds = st.integers(0, 2**70).map(str)
 ratios = st.lists(st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**6))
@@ -681,9 +693,17 @@ states = st.one_of(
     st.tuples(st.just("t"), numbers), st.tuples(st.just("energy"), st.integers(0, 3).map(str)),
     st.tuples(st.just("taum"), st.integers(0, 30).map(str)),
     st.tuples(st.sampled_from(["t", "energy", "taum", "x"]), wide)).map(":".join)
-sweeps = st.tuples(st.sampled_from(["lc", "mrest", "mass", "theta", "T"]),
-                   st.lists(numbers, min_size=2, max_size=2).map(sorted).map(":".join),
-                   st.integers(2, 50).map(str)).map(":".join)
+
+
+def sweeps_of(steps):
+    return st.tuples(st.sampled_from(["lc", "mrest", "mass", "theta", "T"]),
+                     st.lists(numbers, min_size=2, max_size=2).map(sorted).map(":".join),
+                     steps).map(":".join)
+
+
+sweeps = sweeps_of(st.integers(2, 50).map(str))
+CAPPED_WIDE = {"--p": below | huge, "--z": below | huge, "--shots": below,
+               "--sweep": wide | sweeps_of(below | huge)}
 spectra = st.sampled_from(["rat.spec", "eq.spec", "irr.spec", "missing.spec"])
 BODY = {"--lc": numbers, "--mrest": numbers, "--mass": numbers, "--p": small_ints,
         "--T": numbers, "--spectrum": spectra, "--z": small_ints, "--theta": numbers}
