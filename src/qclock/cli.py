@@ -13,8 +13,13 @@ resolved configuration; stochastic runs carry their seed.  Floats are printed
 as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
 back to the same bits.  Each JSON document is the text of
 ``json.dump(document, sort_keys=True, indent=2)``, streamed from numpy slices
-so that long records never become one string, and a document holding nan or
-inf is refused before any of it is written.
+of 4096 values so that long records never become one string, and a document
+holding nan or inf is refused before any of it is written.  A float array is
+spelled one ``repr`` per value.  An integer array, and the rows of the
+``measure`` CSV, are spelled in numpy without a Python string per value: each
+row is a line of NUL-padded four-byte cells, its digits gathered four at a
+time from a table of the spellings of 0..9999 and its separators and tails
+from tables of their own, and the slice is written with every NUL removed.
 
 The ``measure`` document is version 2 (``"schema": 2``).  It states the dial
 instead of listing it: ``result.dial`` holds ``tau0``, ``T``, ``n_outcomes``
@@ -78,6 +83,70 @@ def _check_finite(value) -> None:
         raise QClockError(f"non-finite result has no JSON form: {value!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_cells() -> np.ndarray:
+    """The spellings of 0..9999 as cells of four bytes (uint32), built on first use.
+
+    Three tables of 10^4 cells: zero-padded ("0042") for a group of four digits
+    that follows others; then for the leading group, its zeros NUL (two NULs,
+    then "42") and 0 all NUL; then the same but with 0 spelled "0", for the
+    units of a number below 10^4.
+    """
+    n = np.arange(10**4)
+    digits = (n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    # a digit is leading if its column comes before the first non-zero one
+    significant = np.arange(4) >= 4 - np.searchsorted([1, 10, 100, 1000], n, side="right")[:, None]
+    lead = np.where(significant, digits, 0).astype(np.uint8)
+    unit = lead.copy()
+    unit[0, 3] = ord("0")
+    table = np.concatenate([digits, lead, unit]).view(np.uint32).ravel()
+    table.setflags(write=False)  # one table, shared by every caller
+    return table
+
+
+def _cells(*texts: str) -> np.ndarray:
+    """ASCII texts as rows of NUL-padded uint32 cells, all as wide as the longest."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    data = b"".join(text.encode("ascii").ljust(width, b"\0") for text in texts)
+    return np.frombuffer(data, dtype=np.uint32).reshape(len(texts), -1)
+
+
+def _spell_rows(values: np.ndarray, before=None, after=None) -> bytes:
+    """One row per integer: the before cells, its decimal spelling, the after cells.
+
+    before and after are uint32 cells, one row for all values or one per value.
+    A row is fixed-width, padded with NUL, and no spelled byte is NUL, so the
+    bytes are the rows' with every NUL removed: what str spells, for all of int64.
+    """
+    table = _digit_cells()
+    neg = values < 0
+    signed = bool(neg.any())
+    mag = values.astype(np.uint64)
+    if signed:  # modulo 2^64, so -2^63 has the magnitude 2^63
+        np.negative(mag, out=mag, where=neg)
+    groups = -(-len(str(int(mag.max()))) // 4)
+    n_before = 0 if before is None else before.shape[-1]
+    n_after = 0 if after is None else after.shape[-1]
+    rows = np.empty((values.size, n_before + signed + groups + n_after), dtype=np.uint32)
+    if n_before:
+        rows[:, :n_before] = before
+    if signed:  # one "-" byte, the cell's other three NUL in either byte order
+        rows[:, n_before] = np.where(neg, ord("-"), 0)
+    # four digits at a time from the right; a group with nothing above it is
+    # the leading one, spelled without zeros, and only the units spell a lone 0
+    col, offset = n_before + signed + groups, 2 * 10**4
+    while col > n_before + signed:
+        col -= 1
+        above = mag // 10**4
+        index = (mag - above * 10**4).view(np.int64)
+        index += (above == 0) * offset
+        rows[:, col] = np.take(table, index)
+        mag, offset = above, 10**4
+    if n_after:
+        rows[:, rows.shape[1] - n_after:] = after
+    return rows.tobytes().translate(None, b"\0")
+
+
 def _write_value(value, fh, pad: str) -> None:
     inner = pad + "  "
     if isinstance(value, dict) and value:
@@ -87,7 +156,13 @@ def _write_value(value, fh, pad: str) -> None:
             _write_value(value[key], fh, inner)
             sep = ",\n" + inner
         fh.write(f"\n{pad}}}")
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "if":
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "i":
+        glue = _cells(",\n" + inner)[0]
+        for start in range(0, value.size, _SLICE):
+            text = _spell_rows(value[start:start + _SLICE], before=glue).decode("ascii")
+            fh.write("[" + text[1:] if start == 0 else text)  # no comma before the first
+        fh.write(f"\n{pad}]" if value.size else "[]")
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
         sep = "[\n" + inner
         for start in range(0, value.size, _SLICE):
             fh.write(sep + (",\n" + inner).join(map(repr, value[start:start + _SLICE].tolist())))
@@ -266,20 +341,19 @@ def _write_histogram(record, path: str) -> None:
 
     Lines end in CRLF, the csv default dialect; no number spelling needs
     quoting.  Only a few distinct counts occur, so the tail of a line, from the
-    comma before the count on, is spelled once per count.  Each slice is one
-    list of parts [m, tail] per line, joined once.  The dial times are not
-    listed: the JSON record's result.dial states them.
+    comma before the count on, is spelled once per count and gathered into the
+    rows that _spell_rows spells.  The dial times are not listed: the JSON
+    record's result.dial states them.
     """
     counts = record.counts
-    tail = {k: f",{k},{k / record.shots!r}\r\n" for k in np.unique(counts).tolist()}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("m,count,frequency\r\n")
+    distinct = np.unique(counts)
+    tails = _cells(*(f",{k},{k / record.shots!r}\r\n" for k in distinct.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"m,count,frequency\r\n")
         for start in range(0, counts.size, _SLICE):
             stop = min(start + _SLICE, counts.size)
-            parts = [""] * (2 * (stop - start))
-            parts[0::2] = map(str, range(start, stop))
-            parts[1::2] = map(tail.__getitem__, counts[start:stop].tolist())
-            fh.write("".join(parts))
+            tail = np.take(tails, np.searchsorted(distinct, counts[start:stop]), axis=0)
+            fh.write(_spell_rows(np.arange(start, stop), after=tail))
 
 
 def cmd_measure(args) -> int:
@@ -355,29 +429,34 @@ def cmd_sweep(args) -> int:
     param, lo, hi, steps = _parse_sweep(args.sweep)
     if param == "T" and args.spectrum:
         raise InvalidArgument("sweeping T requires the --p route, not --spectrum")
-    # per step: the swept value and a report of eleven fields, held until the
-    # CSV is written; tracemalloc reads 515 to 537 B per step, the list of
-    # rows growing in jumps
-    _charge(544 * steps, f"a sweep of {steps} steps")
+    # per step, held until the CSV is written: the swept value and six bounds
+    # as float64 and a reference to the binding's name, 64 B.  tracemalloc reads
+    # 104 B per step at 4000 steps, with about 150 kB that do not grow with
+    # the steps, most of it the CSV file's write buffer
+    _charge(112 * steps, f"a sweep of {steps} steps")
     # only a T sweep changes the spectrum from step to step
     fixed = None if param == "T" else _spectrum_from_args(args, consts)
-    rows = []
-    for value in np.linspace(lo, hi, steps):
+    grid = np.linspace(lo, hi, steps)
+    bounds, binding = np.empty((steps, 6)), [None] * steps
+    for i, value in enumerate(grid):
         step = argparse.Namespace(**{**vars(args), param: float(value)})
         spec = fixed if fixed is not None else _spectrum_from_args(step, consts)
-        rows.append((float(value), _report_from_args(step, consts, spec)[1]))
+        r = _report_from_args(step, consts, spec)[1]
+        bounds[i] = (r.delta_tau_min, r.structural_dt, r.speed_limit_dt,
+                     r.spreading_dt, r.fundamental_dt, r.mass_limit)
+        binding[i] = r.binding.value
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([param, "delta_tau_min", "structural_dt", "speed_limit_dt",
                          "spreading_dt", "fundamental_dt", "mass_limit", "binding"])
-        writer.writerows((value, r.delta_tau_min, r.structural_dt, r.speed_limit_dt,
-                          r.spreading_dt, r.fundamental_dt, r.mass_limit, r.binding.value)
-                         for value, r in rows)
+        # a row at a time: a slice of rows as Python floats is 250 B per step
+        writer.writerows([float(grid[i]), *bounds[i].tolist(), binding[i]]
+                         for i in range(steps))
     config = {"command": "sweep", "sweep": args.sweep, "lc": args.lc,
               "mrest": args.mrest, "mass": args.mass, "p": args.p, "T": args.T,
               "spectrum": args.spectrum, "z": args.z, "theta": args.theta,
               "out_csv": args.out_csv}
-    _emit(_document(args, config, {"rows": len(rows), "csv": args.out_csv}), args.out)
+    _emit(_document(args, config, {"rows": steps, "csv": args.out_csv}), args.out)
     return 0
 
 

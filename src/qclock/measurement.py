@@ -13,12 +13,13 @@ seam.
 Memory per dial time (bin).  A measurement keeps 24 B: probs, tau_grid and
 counts, 8 B each, shared by the distribution and records.  It holds for a
 moment at most 16 B more, one item at a time: the twiddle table of an exact
-spectrum while the amplitudes are folded, the CDF (8 B) while sample draws,
-and the complex summands while circular_mean adds them.  So it peaks near 40 B
-per bin, charged by outcome_probabilities before it allocates, plus windows of
-clockstates._BLOCK bins and sample's chunks of up to 2^20 draws.  The kernels
-work the dial a window at a time, and every value is computed elementwise or
-by the same one np.sum as a single pass, so the block size changes no bit.
+spectrum while the amplitudes are folded, the CDF and a chunk's edges (8 B
+each) while sample draws, and the complex summands while circular_mean adds
+them.  So it peaks near 40 B per bin, charged by outcome_probabilities before
+it allocates, plus windows of clockstates._BLOCK bins and sample's chunks of
+up to 2^20 draws.  The kernels work the dial a window at a time, and every
+value is computed elementwise or by the same one np.sum as a single pass, so
+the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -158,17 +159,25 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
     np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
-    # PCG64 random() gives the same stream however its calls are split, and
-    # bincount ignores order, so chunked sorted draws count what one unsorted
-    # draw would; sorted needles keep the search cache-friendly
+    # PCG64 random() gives the same stream however its calls are split, and a
+    # count ignores order, so chunked sorted draws count what one unsorted draw
+    # would.  A draw u falls in the first bin m with u < cdf[m]; over a sorted
+    # chunk, edges[m] counts the draws u < cdf[m], so bin m holds
+    # edges[m] - edges[m-1], from the same comparisons as one search per draw.
+    # The running maximum changes no first bin, and keeps every count
+    # non-negative where probabilities down to -1e-12 make the cdf dip
+    np.maximum.accumulate(cdf, out=cdf)
     counts = None
     for start in range(0, shots, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, shots - start))
         draws.sort()
-        bins = np.searchsorted(cdf, draws, side="right")
-        del draws
-        chunk = np.bincount(bins, minlength=len(cdf))
-        counts = chunk if counts is None else np.add(counts, chunk, out=counts)
+        edges = np.searchsorted(draws, cdf, side="left")
+        del draws  # before the counts are allocated, which keeps the peak down
+        if counts is None:
+            counts = np.zeros(len(cdf), dtype=np.int64)
+        counts += edges
+        counts[1:] -= edges[:-1]
+        del edges
     counts.setflags(write=False)
     return MeasurementRecord(seed=int(seed), shots=int(shots), counts=counts,
                              tau_grid=dist.tau_grid, T=dist.T)

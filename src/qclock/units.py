@@ -25,6 +25,9 @@ CODATA2018_C = 299792458.0          # m s^-1
 CODATA2018_G = 6.67430e-11          # m^3 kg^-1 s^-2
 
 CONSTANTS_ENV_VAR = "QCLOCK_CONSTANTS"
+# characters read from a constants file at most: three key=value lines and
+# their comments take a few hundred, and a device such as /dev/zero has no end
+CONSTANTS_FILE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,24 +79,29 @@ def load_constants_file(path: str, mode: str = "SI") -> ConstantsSet:
     """Parse a ``key=value`` constants file with keys hbar, c, G.
 
     Blank lines and ``#`` comments are ignored.  Missing keys fall back to
-    CODATA 2018.
+    CODATA 2018.  A file is read no further than CONSTANTS_FILE_LIMIT
+    characters, and a longer one is refused.
     """
     values = {"hbar": CODATA2018_HBAR, "c": CODATA2018_C, "G": CODATA2018_G}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidConstants(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in values:
-                raise InvalidConstants(f"{path}:{lineno}: unknown constant {key!r}")
-            try:
-                values[key] = float(text.strip())
-            except ValueError as exc:
-                raise InvalidConstants(f"{path}:{lineno}: bad number {text.strip()!r}") from exc
+        text = fh.read(CONSTANTS_FILE_LIMIT + 1)
+    if len(text) > CONSTANTS_FILE_LIMIT:
+        raise InvalidConstants(
+            f"{path}: a constants file holds at most {CONSTANTS_FILE_LIMIT} characters")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidConstants(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, _, number = line.partition("=")
+        key = key.strip()
+        if key not in values:
+            raise InvalidConstants(f"{path}:{lineno}: unknown constant {key!r}")
+        try:
+            values[key] = float(number.strip())
+        except ValueError as exc:
+            raise InvalidConstants(f"{path}:{lineno}: bad number {number.strip()!r}") from exc
     return ConstantsSet(values["hbar"], values["c"], values["G"], mode=mode)
 
 

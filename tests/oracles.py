@@ -137,6 +137,16 @@ def circular_mean_dense(counts, taus, T, shots):
     return estimate, sigma / math.sqrt(shots)
 
 
+def sample_counts_bincount(probs, shots, seed):
+    """Inverse-CDF counts from one unsorted draw of every shot: one search per
+    draw, then a bincount of the bins."""
+    total = float(probs.sum())
+    cdf = np.cumsum(probs / total)
+    cdf[-1] = 1.0
+    draws = np.random.default_rng(seed).random(shots)
+    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
+
+
 def random_rational_fracs(rng, p, den_max=9, max_step=3):
     """Strictly increasing fractions > 1 for E_n/E_1, n = 2..p."""
     fracs = []

@@ -198,7 +198,7 @@ def _check_identity_argv(tmp_path, size):
 
 # name: (bytes charged per sweep step or per byte of the spectrum file,
 # argv(tmp_path, n) for n steps or bytes, made before the trace starts)
-INPUT_CHARGES = {"sweep": (544, _sweep_argv), "check-identity": (64, _check_identity_argv)}
+INPUT_CHARGES = {"sweep": (112, _sweep_argv), "check-identity": (64, _check_identity_argv)}
 
 
 @pytest.mark.parametrize("name", sorted(INPUT_CHARGES))
@@ -232,4 +232,4 @@ def test_a_sweep_peaks_within_its_charge(tmp_path, capsys):
     assert cli.main(argv) == 0
     outcome, peak = _traced(lambda _: cli.main(argv), 4000)
     assert outcome == 0
-    assert peak <= 544 * 4000
+    assert peak <= 112 * 4000

@@ -644,6 +644,41 @@ def test_writer_memory_is_bounded_by_the_slice():
     assert peak < 2 * 2**20
 
 
+def test_integer_writer_memory_is_bounded_by_the_slice():
+    x = np.arange(10**6)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            _write({"x": x}, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a tolist() of x alone is about 36 MB
+    assert peak < 2 * 2**20
+
+
+# the edges of each digit count and of int64, with both signs
+INT64_EDGES = sorted({v for k in range(19) for d in (-1, 0, 1) for v in (10**k + d, -(10**k + d))}
+                     | {0, 2**63 - 1, -2**63})
+ascii_text = st.text(st.characters(min_codepoint=1, max_codepoint=127), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, cli._SLICE, cli._SLICE + 1]))
+def test_spelled_rows_are_what_str_spells(data, n):
+    values = data.draw(arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))
+    if data.draw(st.booleans()):  # every edge, rotated, on the even rows
+        shift = data.draw(st.integers(0, len(INT64_EDGES) - 1))
+        values[::2] = np.resize(np.roll(INT64_EDGES, shift), values[::2].size)
+    before, tails = data.draw(ascii_text), data.draw(st.lists(ascii_text, min_size=1, max_size=4))
+    pick = np.arange(n) % len(tails)
+    after = np.take(cli._cells(*tails), pick, axis=0)
+    spelled = [str(v) for v in values.tolist()]
+    assert cli._spell_rows(values) == "".join(spelled).encode()
+    assert cli._spell_rows(values, before=cli._cells(before)[0], after=after) == "".join(
+        before + text + tails[k] for text, k in zip(spelled, pick.tolist())).encode()
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.sampled_from([1, 2, 4095, 4096, 4097, 9000]))

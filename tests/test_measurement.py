@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,7 +18,8 @@ from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
                     rationalized_spectrum, sample, time_state, with_estimate)
 
 from oracles import (circular_mean_dense, circular_mean_naive,
-                     outcome_probabilities_naive, random_rational_fracs)
+                     outcome_probabilities_naive, random_rational_fracs,
+                     sample_counts_bincount)
 
 
 def test_grid_state_gives_kronecker_delta(nat):
@@ -187,12 +189,38 @@ def test_chunked_sorted_sampling_matches_one_unsorted_draw(nat):
     dist = outcome_probabilities(time_state(spec, 1.7), ClockPOVM(spec, 40, 0.2))
     shots = 3 * 2**20 + 7  # four chunks of at most 2^20 draws
     rec = sample(dist, shots, seed=2024)
-    total = float(dist.probs.sum())
-    cdf = np.cumsum(dist.probs / total)
-    cdf[-1] = 1.0
-    draws = np.random.default_rng(2024).random(shots)
-    ref = np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
-    assert np.array_equal(rec.counts, ref)
+    assert np.array_equal(rec.counts, sample_counts_bincount(dist.probs, shots, 2024))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=arrays(np.float64, st.integers(1, 3000),
+                      elements=st.sampled_from([0.0, 0.0, 1e-300, 1.0]) | st.floats(0.0, 1e3)),
+       shots=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1),
+       chunk=st.sampled_from([1, 7, 1024, measurement.SAMPLE_CHUNK]))
+def test_sample_counts_what_one_search_per_draw_counts(weights, shots, seed, chunk):
+    # empty bins, runs of them at either end, and bins too narrow to hit
+    assume(weights.sum() > 0.0)
+    probs = weights / weights.sum()
+    dist = OutcomeDistribution(probs, np.arange(probs.size, dtype=float), 1.0)
+    with unittest.mock.patch.object(measurement, "SAMPLE_CHUNK", chunk):
+        rec = sample(dist, shots, seed)
+    assert np.array_equal(rec.counts, sample_counts_bincount(dist.probs, shots, seed))
+
+
+def test_sample_counts_stay_non_negative_where_the_cdf_dips():
+    # 2*10^5 probabilities of -1e-12, which a distribution admits, make the cdf
+    # fall by 2e-7 after its first bin; a draw in that dip belongs to the first
+    # bin whose cdf exceeds it, the first one
+    n, shots, seed = 2 * 10**5, 10**7, 1
+    probs = np.full(n + 2, -1e-12)
+    probs[0], probs[-1] = 0.5, 0.5 + n * 1e-12
+    first = probs[0] / float(probs.sum())
+    draws = np.random.default_rng(seed).random(shots)
+    assert np.count_nonzero((draws < first) & (draws >= first - 2e-7 + 1e-12)) > 0
+    rec = sample(OutcomeDistribution(probs, np.arange(n + 2.0), 1.0), shots, seed)
+    assert rec.counts[0] == np.count_nonzero(draws < first)
+    assert rec.counts[-1] == shots - rec.counts[0]
+    assert not rec.counts[1:-1].any()
 
 
 def test_one_measurement_shares_one_tau_grid(nat):

@@ -1,11 +1,14 @@
+import json
 import math
+import os
+import tracemalloc
 
 import pytest
 
-from qclock import (ConstantsSet, InvalidConstants, codata2018,
+from qclock import (ConstantsSet, InvalidConstants, cli, codata2018,
                     derive_planck_scale, load_constants_file, natural_units,
                     resolve_constants)
-from qclock.units import CONSTANTS_ENV_VAR
+from qclock.units import CONSTANTS_ENV_VAR, CONSTANTS_FILE_LIMIT
 
 from oracles import ORACLE_C, ORACLE_G, ORACLE_HBAR
 
@@ -88,6 +91,34 @@ def test_constants_file_rejects_unknown_key(tmp_path):
     path.write_text("k_B=1.38e-23\n")
     with pytest.raises(InvalidConstants):
         load_constants_file(str(path))
+
+
+def test_constants_file_is_read_no_further_than_its_limit(tmp_path):
+    path = tmp_path / "consts.txt"
+    head = "c=42.0\n"
+    path.write_text(head + "#" * (CONSTANTS_FILE_LIMIT - len(head)))
+    assert load_constants_file(str(path)).c == 42.0
+    path.write_text(head + "#" * (CONSTANTS_FILE_LIMIT - len(head) + 1))
+    with pytest.raises(InvalidConstants, match=f"at most {CONSTANTS_FILE_LIMIT} characters"):
+        load_constants_file(str(path))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_a_constants_device_without_an_end_is_refused(capsys):
+    argv = ["bounds", "--lc", "8", "--mass", "0.5", "--p", "4", "--T", "100",
+            "--constants", "/dev/zero"]
+    cli._parser()  # built once per process, outside the trace
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-constants"
+    assert peak < 2**20
 
 
 def test_resolve_constants_env_var(tmp_path, monkeypatch):
