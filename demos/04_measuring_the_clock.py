@@ -39,12 +39,14 @@ rec = with_estimate(rec)
 print(f"true t = {t_true}, estimate = {rec.estimate:.5f} "
       f"+- {rec.estimate_error:.5f}")
 
-# Wraparound in action: half the shots just before T, half just after 0.
-# A linear average would claim T/2; the circular mean stays at the seam.
+# Wraparound in action: on a dial of 100 times, half the shots at tau_99 just
+# before T, half at tau_1 just after 0.  A linear average would claim T/2; the
+# circular mean stays at the seam.
 from qclock import MeasurementRecord
 
-seam = MeasurementRecord(seed=0, shots=200, counts=np.array([100, 100]),
-                         tau_grid=np.array([0.99, 0.01]), T=1.0)
+counts = np.zeros(100, dtype=int)
+counts[[1, 99]] = 100
+seam = MeasurementRecord(seed=0, shots=200, counts=counts, povm=ClockPOVM(spec, z=99))
 print("seam estimate:", estimate_time(seam))
 
 # Evolving the state by one grid step rotates the statistics by one outcome.

@@ -20,8 +20,7 @@ from .clockstates import (ClockPOVM, TimeOperator, TimeState,
                           continuous_identity_residual, energy_shift_unitary,
                           evolve, first_orthogonal_time, frame_operator,
                           grid_amplitudes, hermitian_time_operator,
-                          identity_residual, overlap, overlap_magnitude,
-                          time_state)
+                          identity_residual, overlap, time_state)
 from .errors import (CapacityError, DegenerateClock, IncompatibleStates,
                      InvalidArgument, InvalidConstants, InvalidDistribution,
                      NoEstimate, QClockError, SchwarzschildViolation,

@@ -14,16 +14,16 @@ as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
 back to the same bits.  Each JSON document is the text of
 ``json.dump(document, sort_keys=True, indent=2)``, streamed from numpy slices
 of 4096 values so that long records never become one string, and a document
-holding nan or inf is refused before any of it is written.  A float array is
-spelled one ``repr`` per value.  An integer array, and the rows of the
-``measure`` CSV, are spelled in numpy without a Python string per value: each
-row is a line of NUL-padded four-byte cells, its digits gathered four at a
-time from a table of the spellings of 0..9999 and its separators and tails
-from tables of their own, and the slice is written with every NUL removed.
+holding nan or inf is refused before any of it is written.  No document holds
+a float array.  An integer array, and the rows of the ``measure`` CSV, are
+spelled in numpy without a Python string per value: each row is a line of
+NUL-padded four-byte cells, its digits gathered four at a time from a table of
+the spellings of 0..9999 and its separators and tails from tables of their
+own, and the slice is written with every NUL removed.
 
 The ``measure`` document is version 2 (``"schema": 2``).  It states the dial
 instead of listing it: ``result.dial`` holds ``tau0``, ``T``, ``n_outcomes``
-and the float64 expression of ``ClockPOVM.tau_grid`` in its operation order,
+and the float64 expression of ``ClockPOVM.times`` in its operation order,
 ``tau_m = tau0 + m * (T / n_outcomes)``, so every ``tau_m`` is rebuilt to the
 bit.  ``result.sampler`` is the id ``measurement.SAMPLER`` of the draw
 behind the counts (numpy PCG64 from ``default_rng(seed)``, inverse CDF,
@@ -76,9 +76,6 @@ def _check_finite(value) -> None:
     elif isinstance(value, (list, tuple)):
         for item in value:
             _check_finite(item)
-    elif isinstance(value, np.ndarray):
-        if not np.isfinite(value).all():
-            raise QClockError("non-finite result has no JSON form")
     elif isinstance(value, float) and not math.isfinite(value):
         raise QClockError(f"non-finite result has no JSON form: {value!r}")
 
@@ -162,12 +159,6 @@ def _write_value(value, fh, pad: str) -> None:
             text = _spell_rows(value[start:start + _SLICE], before=glue).decode("ascii")
             fh.write("[" + text[1:] if start == 0 else text)  # no comma before the first
         fh.write(f"\n{pad}]" if value.size else "[]")
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        sep = "[\n" + inner
-        for start in range(0, value.size, _SLICE):
-            fh.write(sep + (",\n" + inner).join(map(repr, value[start:start + _SLICE].tolist())))
-            sep = ",\n" + inner
-        fh.write(f"\n{pad}]" if value.size else "[]")
     else:
         # a JSON string never holds a raw newline, so every newline is indentation
         text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
@@ -178,9 +169,9 @@ def _write(document: dict, fh) -> None:
     """Stream one JSON document to an open text file, refusing nan and inf.
 
     For dicts with str keys, the text is that of ``json.dump(document, fh,
-    sort_keys=True, indent=2)`` plus a newline; 1-D integer and float numpy
-    arrays are written as lists, one slice at a time.  Every value is checked before the first write, so a
-    refused document leaves nothing behind.
+    sort_keys=True, indent=2)`` plus a newline; a 1-D integer numpy array is
+    written as a list, one slice at a time.  Every value is checked before the
+    first write, so a refused document leaves nothing behind.
     """
     _check_finite(document)
     _write_value(document, fh, "")
@@ -325,8 +316,8 @@ def _state_from_flag(text: str, spec: ClockSpectrum, povm: ClockPOVM):
     if kind == "taum":
         if not 0 <= number <= povm.z:
             raise InvalidArgument(f"grid index {number} outside 0..{povm.z}")
-        # the record's dial formula, tau_grid[K] to the bit, and no grid built
-        return time_state(spec, povm.tau_0 + number * (spec.T / povm.n_outcomes))
+        # the dial time tau_K, the bits of the record's dial formula, and no grid built
+        return time_state(spec, float(povm.times(number, number + 1)[0]))
     if kind == "energy":
         if not 0 <= number <= spec.p:
             raise InvalidArgument(f"energy index {number} outside 0..{spec.p}")
@@ -373,7 +364,7 @@ def cmd_measure(args) -> int:
         "shots": record.shots,
         "counts": record.counts,
         # the dial is stated, not listed: the formula is the float64 expression
-        # of ClockPOVM.tau_grid, in its operation order
+        # of ClockPOVM.times, in its operation order
         "dial": {"tau0": povm.tau_0, "T": spec.T, "n_outcomes": povm.n_outcomes,
                  "formula": "tau_m = tau0 + m * (T / n_outcomes)"},
         "sampler": SAMPLER,

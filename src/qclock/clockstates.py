@@ -118,29 +118,33 @@ def _blocks(n: int):
         start = stop
 
 
-def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
+def _phase_factors(spec: ClockSpectrum, tau) -> np.ndarray:
+    """e^{-2 pi i t_n}, t_n the phase of level n at dial time tau in turns."""
+    return np.exp(-2j * math.pi * _turns_single(spec, tau))
+
+
+def _dial_rows(povm: ClockPOVM):
     """rows(start, stop) yields row n of the dial grid over the window m = start..stop-1.
 
     Row n is (p+1)^-1/2 e^{-2 pi i phase_n(tau_m)}.  Exact spectra gather from
     one twiddle table w[k] = e^{-2 pi i k/(z+1)}, built here once, a block at
     a time: row n is w[(r_n mod (z+1)) m mod (z+1)] u_n with the exact tau_0
     offset phase u_n, so z+1 complex exp serve all p+1 rows and every window.
-    Other spectra take float phases f_n tau_m straight from the energies; an
-    offset so large that they overflow gives nan rows, not warnings.  Every
-    entry is computed elementwise, so a window holds the same bits as the
-    same stretch of a full row; rows(0, zp1) yields full rows.  A caller that
-    folds the rows a window at a time, and drops each row before it asks for
-    the next, keeps one window of memory beside the 16 B per dial time of the
-    table.
+    Other spectra take float phases f_n tau_m straight from the energies, with
+    tau_m from povm.times; an offset so large that they overflow gives nan
+    rows, not warnings.  Every entry is computed elementwise, so a window holds
+    the same bits as the same stretch of a full row; rows(0, z+1) yields full
+    rows.  A caller that folds the rows a window at a time, and drops each row
+    before it asks for the next, keeps one window of memory beside the 16 B per
+    dial time of the table.
     """
-    if not math.isfinite(tau_0):
-        raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
+    spec, zp1 = povm.spectrum, povm.n_outcomes
     norm = math.sqrt(spec.dimension)
     if spec.has_exact_integers:
         w = np.empty(zp1, dtype=complex)
         for start, stop in _blocks(zp1):
             np.exp(-2j * math.pi * (np.arange(start, stop) / float(zp1)), out=w[start:stop])
-        u = np.exp(-2j * math.pi * _turns_single(spec, tau_0)) / norm
+        u = _phase_factors(spec, povm.tau_0) / norm
 
         def rows(start, stop):
             m = np.arange(start, stop, dtype=np.int64)
@@ -154,7 +158,8 @@ def _dial_rows(spec: ClockSpectrum, zp1: int, tau_0):
     freqs = spec.levels / (2.0 * math.pi * spec.hbar)
 
     def rows(start, stop):
-        taus = float(tau_0) + np.arange(start, stop) * (spec.T / zp1)
+        with np.errstate(over="ignore"):  # an overflowed time gives nan rows too
+            taus = povm.times(start, stop)
         for f in freqs:
             with np.errstate(over="ignore", invalid="ignore"):
                 row = np.exp(-2j * math.pi * (f * taus))
@@ -173,11 +178,12 @@ def _outcome_count(spec: ClockSpectrum, z: int) -> int:
 
 def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
     """Matrix of time-state amplitudes, column m = |tau_m>, shape (p+1, z+1)."""
-    zp1 = _outcome_count(spec, z)
+    povm = ClockPOVM(spec, z, tau_0)
+    zp1 = povm.n_outcomes
     # fromiter fills the grid row by row; beside it sit the twiddle table, the
     # window's m, and the next row with its gather index, 48 B per dial time
     _charge(16 * (spec.dimension + 3) * zp1, f"a {spec.dimension} x {zp1} dial grid")
-    return np.fromiter(_dial_rows(spec, zp1, tau_0)(0, zp1), dtype=np.dtype((complex, zp1)),
+    return np.fromiter(_dial_rows(povm)(0, zp1), dtype=np.dtype((complex, zp1)),
                        count=spec.dimension)
 
 
@@ -224,14 +230,22 @@ class ClockPOVM:
     def weight(self) -> Fraction:
         return Fraction(self.spectrum.dimension, self.z + 1)
 
+    def times(self, start: int, stop: int) -> np.ndarray:
+        """The dial times tau_m for m in [start, stop), as float64.
+
+        The one spelling of the dial: tau_0 + m * (T/(z+1)), worked in place in
+        that order, so the same m gives the same bits in every caller.
+        """
+        taus = np.arange(start, stop, dtype=float)
+        taus *= self.spectrum.T / (self.z + 1)
+        taus += float(self.tau_0)
+        return taus
+
     @functools.cached_property
     def tau_grid(self) -> np.ndarray:
         """The dial times tau_m, built once and read-only."""
         _charge(8 * (self.z + 1), f"a dial of {self.z + 1} times")
-        # tau_0 + m * (T/(z+1)) in place, 8 B per dial time
-        grid = np.arange(self.z + 1, dtype=float)
-        grid *= self.spectrum.T / (self.z + 1)
-        grid += self.tau_0
+        grid = self.times(0, self.z + 1)
         grid.setflags(write=False)
         return grid
 
@@ -247,7 +261,7 @@ class ClockPOVM:
 
 def time_state(spec: ClockSpectrum, tau: float) -> TimeState:
     """|tau> for any real tau; the continuous-dial state when tau is off-grid."""
-    amps = np.exp(-2j * math.pi * _turns_single(spec, tau)) / math.sqrt(spec.dimension)
+    amps = _phase_factors(spec, tau) / math.sqrt(spec.dimension)
     return TimeState(amps, float(tau), spec)
 
 
@@ -264,8 +278,7 @@ def overlap(a: TimeState, b: TimeState) -> complex:
 
 def evolve(state: TimeState, dt: float) -> TimeState:
     """Schroedinger evolution by an external-time step dt: a dial rotation."""
-    turns = _turns_single(state.spectrum, dt)
-    amps = state.amplitudes * np.exp(-2j * math.pi * turns)
+    amps = state.amplitudes * _phase_factors(state.spectrum, dt)
     return TimeState(amps, state.tau + float(dt), state.spectrum)
 
 
@@ -281,7 +294,7 @@ def _offset_phases(spec: ClockSpectrum, tau_0) -> np.ndarray:
 
     The diagonal is exactly 1, so the phases never scale a diagonal entry.
     """
-    u = np.exp(-2j * math.pi * _turns_single(spec, tau_0))
+    u = _phase_factors(spec, tau_0)
     phase = u[:, None] * u.conj()
     np.fill_diagonal(phase, 1.0)
     return phase
@@ -417,15 +430,6 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
     return _dial_circulant(spec, float(op.tau_grid[0]), phases)
 
 
-def overlap_magnitude(spec: ClockSpectrum, dt):
-    """|<t0 | t0 + dt>| for the flat dial state; independent of t0."""
-    dt_arr = np.atleast_1d(np.asarray(dt, dtype=float))
-    _charge(32 * spec.dimension * dt_arr.size, "the overlap phases")
-    phases = np.exp(-1j * np.outer(spec.levels / spec.hbar, dt_arr))
-    out = np.abs(phases.mean(axis=0))
-    return out if np.ndim(dt) else float(out[0])
-
-
 def _overlap_sq_slope(w: np.ndarray, t: float) -> tuple[complex, float]:
     """S = <t0|t0+t> and d|S|^2/dt for w_n = E_n/hbar; the slope crosses zero
     linearly at each zero of S."""
@@ -441,7 +445,7 @@ def _scan_overlaps(spec: ClockSpectrum, n_grid: int) -> np.ndarray:
         s = np.fft.rfft(np.bincount([rn % n_grid for rn in spec.r], minlength=n_grid))
         s = np.append(s, s[-1].conjugate()) if n_grid % 2 else s
         return np.divide(s, spec.dimension, out=s)
-    s, rows = np.zeros(n_grid, dtype=complex), _dial_rows(spec, n_grid, 0.0)
+    s, rows = np.zeros(n_grid, dtype=complex), _dial_rows(ClockPOVM(spec, n_grid - 1))
     for start, stop in _blocks(n_grid):
         for row in rows(start, stop):
             s[start:stop] += row

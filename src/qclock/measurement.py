@@ -10,16 +10,18 @@ the dial is periodic, time is estimated with the circular mean of the
 observed tau_m; a linear average would be biased by up to T/2 at the period
 seam.
 
-Memory per dial time (bin).  A measurement keeps 24 B: probs, tau_grid and
-counts, 8 B each, shared by the distribution and records.  It holds for a
-moment at most 16 B more, one item at a time: the twiddle table of an exact
-spectrum while the amplitudes are folded, the CDF and a chunk's edges (8 B
-each) while sample draws, and the complex summands while circular_mean adds
-them.  So it peaks near 40 B per bin, charged by outcome_probabilities before
-it allocates, plus windows of clockstates._BLOCK bins and sample's chunks of
-up to 2^20 draws.  The kernels work the dial a window at a time, and every
-value is computed elementwise or by the same one np.sum as a single pass, so
-the block size changes no bit.
+Memory per dial time (bin).  A measurement keeps 16 B: probs and counts,
+8 B each.  The dial times are not kept: a distribution and its records hold
+their ClockPOVM, and circular_mean takes each window's times from
+ClockPOVM.times, so a measurement never builds ClockPOVM.tau_grid.  It holds
+for a moment at most 16 B more, one item at a time: the twiddle table of an
+exact spectrum while the amplitudes are folded, the CDF and a chunk's edges
+(8 B each) while sample draws, and the complex summands while circular_mean
+adds them.  So it peaks near 32 B per bin, charged by outcome_probabilities
+before it allocates, plus windows of clockstates._BLOCK bins and sample's
+chunks of up to 2^20 draws.  The kernels work the dial a window at a time,
+and every value is computed elementwise or by the same one np.sum as a single
+pass, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -60,19 +62,17 @@ def _read_only(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Born-rule probabilities over the dial grid."""
+    """Born-rule probabilities over the dial of povm, one per dial time."""
 
     probs: np.ndarray
-    tau_grid: np.ndarray
-    T: float
+    povm: ClockPOVM
 
     def __post_init__(self):
         probs = _read_only(self.probs, np.float64)
-        grid = _read_only(self.tau_grid, np.float64)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "tau_grid", grid)
-        if probs.shape != grid.shape or probs.ndim != 1:
-            raise InvalidArgument("probs and tau_grid must be equal-length vectors")
+        if probs.shape != (self.povm.n_outcomes,):
+            raise InvalidArgument(
+                f"probs and the dial's {self.povm.n_outcomes} times must be equal-length vectors")
         if not np.isfinite(probs).all():
             raise InvalidDistribution("probabilities must be finite")
         if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
@@ -81,26 +81,24 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """One simulated experiment: counts per outcome plus its reproduction seed."""
+    """One simulated experiment: counts per dial time of povm plus its reproduction seed."""
 
     seed: int
     shots: int
     counts: np.ndarray
-    tau_grid: np.ndarray
-    T: float
+    povm: ClockPOVM
     estimate: float | None = None
     estimate_error: float | None = None
 
     def __post_init__(self):
         counts = _read_only(self.counts, np.int64)
-        grid = _read_only(self.tau_grid, np.float64)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "tau_grid", grid)
-        if counts.shape != grid.shape or counts.ndim != 1:
-            raise InvalidArgument("counts and tau_grid must be equal-length vectors")
+        if counts.shape != (self.povm.n_outcomes,):
+            raise InvalidArgument(
+                f"counts and the dial's {self.povm.n_outcomes} times must be equal-length vectors")
         if self.shots < 1:
             raise InvalidArgument(f"shots must be >= 1, got {self.shots}")
-        if counts.size and counts.min() < 0:
+        if counts.min() < 0:
             raise InvalidArgument("counts must be non-negative")
         if counts.sum() != self.shots:
             raise InvalidArgument("counts must sum to shots")
@@ -125,8 +123,8 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # also refuses nan
             raise InvalidArgument("state vector must be normalized")
     zp1 = povm.n_outcomes
-    _charge(40 * zp1, f"a measurement of {zp1} dial times")
-    rows = _dial_rows(spec, zp1, povm.tau_0)
+    _charge(32 * zp1, f"a measurement of {zp1} dial times")
+    rows = _dial_rows(povm)
     weight = float(povm.weight)
     probs = np.empty(zp1)
     # conj(<tau_m|psi>) = sum_n conj(psi_n) row_n, one row at a time and one
@@ -140,9 +138,8 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
             amp += row
             del row
         probs[start:stop] = weight * np.abs(amp) ** 2
-    del rows  # the twiddle table goes before the dial grid is built
     probs.setflags(write=False)
-    return OutcomeDistribution(probs, povm.tau_grid, spec.T)
+    return OutcomeDistribution(probs, povm)
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecord:
@@ -179,8 +176,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
         counts[1:] -= edges[:-1]
         del edges
     counts.setflags(write=False)
-    return MeasurementRecord(seed=int(seed), shots=int(shots), counts=counts,
-                             tau_grid=dist.tau_grid, T=dist.T)
+    return MeasurementRecord(seed=int(seed), shots=int(shots), counts=counts, povm=dist.povm)
 
 
 def circular_mean(record: MeasurementRecord) -> tuple[float, float]:
@@ -190,14 +186,15 @@ def circular_mean(record: MeasurementRecord) -> tuple[float, float]:
     standard deviation sqrt(-2 ln Rbar) scaled to time units and divided by
     sqrt(shots).
     """
-    T, counts = record.T, record.counts
+    povm, counts = record.povm, record.counts
+    T = povm.spectrum.T
     # only bins with counts call exp; the rest stay +0, and adding a zero of
     # either sign leaves a non-zero pairwise partial sum unchanged, so the one
     # np.sum over all bins rounds as the sum of counts * exp over all bins
     terms = np.zeros(counts.shape, dtype=complex)
     for start, stop in _blocks(counts.size):
         with np.errstate(over="ignore", invalid="ignore"):
-            angles = 2.0 * math.pi * record.tau_grid[start:stop] / T
+            angles = 2.0 * math.pi * povm.times(start, stop) / T
         if not np.isfinite(angles).all():
             raise InvalidArgument(f"dial times overflow the circular mean over period {T!r}")
         hit = np.flatnonzero(counts[start:stop])
@@ -217,8 +214,7 @@ def estimate_time(record: MeasurementRecord) -> float:
 
 
 def with_estimate(record: MeasurementRecord) -> MeasurementRecord:
-    """The record with the circular estimate fields filled in; its arrays are shared."""
+    """The record with the circular estimate fields filled in; its counts are shared."""
     est, err = circular_mean(record)
-    return MeasurementRecord(seed=record.seed, shots=record.shots,
-                             counts=record.counts, tau_grid=record.tau_grid,
-                             T=record.T, estimate=est, estimate_error=err)
+    return MeasurementRecord(seed=record.seed, shots=record.shots, counts=record.counts,
+                             povm=record.povm, estimate=est, estimate_error=err)

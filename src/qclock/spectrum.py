@@ -361,10 +361,13 @@ def read_spectrum(path: str, consts: ConstantsSet | None = None) -> ClockSpectru
         # the text, a string per line and a float or ratio per level: tracemalloc
         # reads 60 B per byte on 90,000 lines of short integers (rationalized),
         # and less on longer lines
-        if stat.S_ISREG(info.st_mode):
-            _charge(64 * info.st_size, f"a spectrum file of {info.st_size} bytes")
-            text = fh.read()
-        else:  # a pipe or a device states no size: read no more than the budget admits
-            text = fh.read(_BYTE_BUDGET // 64 + 1)
-            _charge(64 * len(text), f"a spectrum file of {len(text)} or more characters")
+        try:
+            if stat.S_ISREG(info.st_mode):
+                _charge(64 * info.st_size, f"a spectrum file of {info.st_size} bytes")
+                text = fh.read()
+            else:  # a pipe or a device states no size: read no more than the budget admits
+                text = fh.read(_BYTE_BUDGET // 64 + 1)
+                _charge(64 * len(text), f"a spectrum file of {len(text)} or more characters")
+        except UnicodeDecodeError as exc:
+            raise InvalidArgument(f"spectrum file {path!r} is not UTF-8 text") from exc
         return parse_spectrum(text, consts)

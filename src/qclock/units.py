@@ -84,7 +84,10 @@ def load_constants_file(path: str, mode: str = "SI") -> ConstantsSet:
     """
     values = {"hbar": CODATA2018_HBAR, "c": CODATA2018_C, "G": CODATA2018_G}
     with open(path, encoding="utf-8") as fh:
-        text = fh.read(CONSTANTS_FILE_LIMIT + 1)
+        try:
+            text = fh.read(CONSTANTS_FILE_LIMIT + 1)
+        except UnicodeDecodeError as exc:
+            raise InvalidConstants(f"constants file {path!r} is not UTF-8 text") from exc
     if len(text) > CONSTANTS_FILE_LIMIT:
         raise InvalidConstants(
             f"{path}: a constants file holds at most {CONSTANTS_FILE_LIMIT} characters")

@@ -13,8 +13,7 @@ import pytest
 from qclock import (CapacityError, ClockPOVM, ClockSpectrum, SpectrumKind,
                     build_equally_spaced, cli, continuous_identity_residual,
                     first_orthogonal_time, frame_operator, grid_amplitudes,
-                    hermitian_time_operator, identity_residual,
-                    overlap_magnitude, spectrum)
+                    hermitian_time_operator, identity_residual, spectrum)
 
 # the budget the charges are checked against; a run the budget admits may
 # peak 2 MiB past it (windows of 2^14 dial times, small arrays, interpreter
@@ -49,12 +48,6 @@ def _cli_measure(tmp_path, state):
     return run
 
 
-def _overlaps(tmp_path):
-    """two levels, n offsets"""
-    spec, dt = build_equally_spaced(1, 1.0), np.linspace(0.0, 1.0, BUDGET // 64 + 1)
-    return lambda n: overlap_magnitude(spec, dt[:n])
-
-
 def _tau_grid(tmp_path):
     spec = build_equally_spaced(3, 1.0)
     return lambda n: ClockPOVM(spec, n - 1).tau_grid
@@ -82,15 +75,14 @@ def _scan(kind):
 
 
 # name: (the charge in bytes at size n, make(tmp_path) -> run(n)).  A size
-# counts dial times, scan points, offsets or levels, and one unit is one more.
+# counts dial times, scan points or levels, and one unit is one more.
 CHARGES = {
-    "measure-t": (lambda n: 40 * n, lambda tmp_path: _cli_measure(tmp_path, "t:0.3")),
-    "measure-taum": (lambda n: 40 * n, lambda tmp_path: _cli_measure(tmp_path, "taum:3")),
+    "measure-t": (lambda n: 32 * n, lambda tmp_path: _cli_measure(tmp_path, "t:0.3")),
+    "measure-taum": (lambda n: 32 * n, lambda tmp_path: _cli_measure(tmp_path, "taum:3")),
     "tau_grid": (lambda n: 8 * n, _tau_grid),
     "exact-scan": (lambda n: 24 * n, _scan(SpectrumKind.RATIONAL)),
     "rationalized-scan": (lambda n: 17 * n, _scan(SpectrumKind.RATIONALIZED)),
     "grid_amplitudes": (lambda n: 16 * 7 * n, _grid),
-    "overlap_magnitude": (lambda n: 32 * 2 * n, _overlaps),
     "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
         build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
     "dial-circulant": (lambda d: 48 * d * d, lambda tmp_path: lambda d: hermitian_time_operator(

@@ -276,26 +276,33 @@ def test_bad_input_exits_1_with_json_error(tmp_path, capsys, argv, kind):
     assert json.loads(err)["error"] == "invalid-argument"
 
 
-@pytest.mark.parametrize("argv, path", [
-    (["check-identity", "--spectrum", "missing.spec"], "missing.spec"),
+@pytest.mark.parametrize("argv, path, code", [
+    (["check-identity", "--spectrum", "missing.spec"], "missing.spec", "qclock-error"),
     (["build", "--kind", "equally-spaced", "--p", "3", "--T", "1",
-      "--spectrum-out", "nodir/x.spec"], "nodir/x.spec"),
+      "--spectrum-out", "nodir/x.spec"], "nodir/x.spec", "qclock-error"),
     (["bounds", "--lc", "1", "--p", "4", "--T", "100", "--constants", "missing.txt"],
-     "missing.txt"),
+     "missing.txt", "qclock-error"),
     (["measure", "--spectrum", "eq.spec", "--state", "t:0.3", "--shots", "10",
-      "--seed", "1", "--csv", "nodir/h.csv"], "nodir/h.csv"),
-    (["check-identity", "--spectrum", "eq.spec", "--out", "nodir/x.json"], "nodir/x.json"),
-], ids=["missing-spectrum", "spectrum-out-dir", "missing-constants", "csv-dir", "out-dir"])
-def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, monkeypatch, argv, path):
+      "--seed", "1", "--csv", "nodir/h.csv"], "nodir/h.csv", "qclock-error"),
+    (["check-identity", "--spectrum", "eq.spec", "--out", "nodir/x.json"], "nodir/x.json",
+     "qclock-error"),
+    (["check-identity", "--spectrum", "binary"], "binary", "invalid-argument"),
+    (["bounds", "--lc", "1", "--p", "4", "--T", "100", "--constants", "binary"], "binary",
+     "invalid-constants"),
+], ids=["missing-spectrum", "spectrum-out-dir", "missing-constants", "csv-dir", "out-dir",
+        "spectrum-not-utf8", "constants-not-utf8"])
+def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, monkeypatch, argv, path, code):
     monkeypatch.chdir(tmp_path)
     build_file(tmp_path, capsys, "eq.spec", "--kind", "equally-spaced", "--p", "3", "--T", "1")
+    # an executable's header: 0x7f, "ELF", then bytes that no UTF-8 text holds
+    (tmp_path / "binary").write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xe0)))
     # bounds needs SI units for its constants file; the rest run in natural units
     units = [] if argv[0] == "bounds" else ["--units", "natural"]
-    code, out, err = run_cli(capsys, *argv, *units)
-    assert code == 1
+    exit_code, out, err = run_cli(capsys, *argv, *units)
+    assert exit_code == 1
     assert out == ""
     document = json.loads(err)
-    assert document["error"] == "qclock-error"
+    assert document["error"] == code
     assert repr(path) in document["message"]
 
 
@@ -586,18 +593,14 @@ json_values = st.recursive(
 
 @st.composite
 def long_arrays(draw):
-    """Arrays longer than one writer slice, of both dtypes."""
+    """Integer arrays longer than one writer slice."""
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(cli._SLICE + 1, 3 * cli._SLICE))
-    if draw(st.booleans()):
-        return g.integers(-2**63, 2**63 - 1, size, dtype=np.int64, endpoint=True)
-    return g.standard_normal(size) * 10.0 ** g.integers(-320, 300, size)
+    return g.integers(-2**63, 2**63 - 1, size, dtype=np.int64, endpoint=True)
 
 
-numeric_arrays = st.one_of(
-    arrays(np.int64, st.integers(0, 6)),
-    arrays(np.float64, st.integers(0, 6), elements=finite_floats),
-    long_arrays())
+# the writer spells integer arrays; no document the CLI writes holds a float array
+numeric_arrays = st.one_of(arrays(np.int64, st.integers(0, 6)), long_arrays())
 documents = st.recursive(
     st.dictionaries(st.text(), st.one_of(json_values, numeric_arrays), max_size=4),
     lambda inner: st.dictionaries(st.text(), st.one_of(json_values, numeric_arrays, inner),
@@ -620,28 +623,14 @@ def test_writer_spells_what_json_dump_spells(document):
 
 
 @pytest.mark.parametrize("document", [
-    {"a": np.arange(5000.0), "z": math.nan},
-    {"a": np.arange(5000.0), "b": np.array([0.0, -math.inf])},
+    {"a": np.arange(5000), "z": math.nan},
     {"a": {"b": [1.0, {"c": (2.0, math.inf)}]}, "d": 1},
-], ids=["nan-after-array", "inf-in-array", "nested-inf"])
+], ids=["nan-after-array", "nested-inf"])
 def test_a_refused_document_writes_nothing(document):
     buf = io.StringIO()
     with pytest.raises(QClockError):
         _write(document, buf)
     assert buf.getvalue() == ""
-
-
-def test_writer_memory_is_bounded_by_the_slice():
-    x = np.linspace(0, 1, 10**6)
-    with open(os.devnull, "w", encoding="utf-8") as sink:
-        tracemalloc.start()
-        try:
-            _write({"x": x}, sink)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # a tolist() of x alone is about 32 MB
-    assert peak < 2 * 2**20
 
 
 def test_integer_writer_memory_is_bounded_by_the_slice():
@@ -681,17 +670,18 @@ def test_spelled_rows_are_what_str_spells(data, n):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), n=st.sampled_from([1, 2, 4095, 4096, 4097, 9000]))
+@given(data=st.data(), n=st.sampled_from([2, 3, 4095, 4096, 4097, 9000]))
 def test_histogram_spells_what_csv_writer_spells(tmp_path, data, n):
     # counts with repeats and empty bins, so several lines share one tail; the
-    # record's times, of any sign and size, are not written
-    taus = data.draw(arrays(np.float64, n, elements=st.floats(allow_nan=False,
-                                                              allow_infinity=False)))
+    # dial's times, of any sign and size, are not written
+    T = data.draw(st.floats(1e-300, 1e300))
+    tau0 = data.draw(st.floats(-1e300, 1e300))
+    povm = ClockPOVM(qclock.build_equally_spaced(1, T), n - 1, tau0)
     counts = data.draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 1, 3])
                               | st.integers(0, 2**40)))
     shots = max(int(counts.sum()), 1)
     counts[0] += shots - counts.sum()
-    record = qclock.MeasurementRecord(seed=0, shots=shots, counts=counts, tau_grid=taus, T=1.0)
+    record = qclock.MeasurementRecord(seed=0, shots=shots, counts=counts, povm=povm)
     path = tmp_path / "h.csv"
     cli._write_histogram(record, str(path))
     expected = io.StringIO(newline="")

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
+from qclock import (ClockPOVM, ClockSpectrum, IncompatibleStates, InvalidArgument,
                     InvalidDistribution, MeasurementRecord, NoEstimate,
-                    OutcomeDistribution, RationalRatio, build_equally_spaced,
+                    OutcomeDistribution, RationalRatio, SpectrumKind, build_equally_spaced,
                     build_rational, circular_mean, clockstates, estimate_time,
                     evolve, measurement, outcome_probabilities,
                     rationalized_spectrum, sample, time_state, with_estimate)
@@ -20,6 +20,11 @@ from qclock import (ClockPOVM, IncompatibleStates, InvalidArgument,
 from oracles import (circular_mean_dense, circular_mean_naive,
                      outcome_probabilities_naive, random_rational_fracs,
                      sample_counts_bincount)
+
+
+def dial(n, T=1.0, tau_0=0.0):
+    """A dial of n times over period T, on the two-level equally spaced clock."""
+    return ClockPOVM(build_equally_spaced(1, T), n - 1, tau_0)
 
 
 def test_grid_state_gives_kronecker_delta(nat):
@@ -172,14 +177,18 @@ def test_outcome_probabilities_memory_is_linear_in_z(nat):
 
 
 def test_overflowing_dial_phases_are_refused_without_warnings(nat):
-    # tau_0 near the float maximum overflows the rationalized float phases
+    # tau_0 near the float maximum overflows the rationalized float phases;
+    # over a period of 1e308 the dial time tau_1 = tau_0 + T/2 overflows too
     spec = rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)
-    povm = ClockPOVM(spec, spec.r[-1], tau_0=1.7e308)
+    huge = ClockSpectrum([0.0, 2 * math.pi * (1 + 1e-7) / 1e308], (0, 1), 1e308, 1.0,
+                         SpectrumKind.RATIONALIZED, 1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for state in (time_state(spec, 0.3), energy_state(spec, 1)):
-            with pytest.raises(InvalidDistribution, match="finite"):
-                outcome_probabilities(state, povm)
+        for spec in (spec, huge):
+            povm = ClockPOVM(spec, spec.r[-1], tau_0=1.7e308)
+            for state in (time_state(spec, 0.3), energy_state(spec, 1)):
+                with pytest.raises(InvalidDistribution, match="finite"):
+                    outcome_probabilities(state, povm)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -193,7 +202,7 @@ def test_chunked_sorted_sampling_matches_one_unsorted_draw(nat):
 
 
 @settings(max_examples=150, deadline=None)
-@given(weights=arrays(np.float64, st.integers(1, 3000),
+@given(weights=arrays(np.float64, st.integers(2, 3000),
                       elements=st.sampled_from([0.0, 0.0, 1e-300, 1.0]) | st.floats(0.0, 1e3)),
        shots=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1),
        chunk=st.sampled_from([1, 7, 1024, measurement.SAMPLE_CHUNK]))
@@ -201,7 +210,7 @@ def test_sample_counts_what_one_search_per_draw_counts(weights, shots, seed, chu
     # empty bins, runs of them at either end, and bins too narrow to hit
     assume(weights.sum() > 0.0)
     probs = weights / weights.sum()
-    dist = OutcomeDistribution(probs, np.arange(probs.size, dtype=float), 1.0)
+    dist = OutcomeDistribution(probs, dial(probs.size))
     with unittest.mock.patch.object(measurement, "SAMPLE_CHUNK", chunk):
         rec = sample(dist, shots, seed)
     assert np.array_equal(rec.counts, sample_counts_bincount(dist.probs, shots, seed))
@@ -217,31 +226,36 @@ def test_sample_counts_stay_non_negative_where_the_cdf_dips():
     first = probs[0] / float(probs.sum())
     draws = np.random.default_rng(seed).random(shots)
     assert np.count_nonzero((draws < first) & (draws >= first - 2e-7 + 1e-12)) > 0
-    rec = sample(OutcomeDistribution(probs, np.arange(n + 2.0), 1.0), shots, seed)
+    rec = sample(OutcomeDistribution(probs, dial(n + 2)), shots, seed)
     assert rec.counts[0] == np.count_nonzero(draws < first)
     assert rec.counts[-1] == shots - rec.counts[0]
     assert not rec.counts[1:-1].any()
 
 
 def test_one_measurement_shares_one_tau_grid(nat):
+    # a measurement holds its POVM and never builds the grid; asked for, the
+    # grid is built once, read-only, and holds the bits of ClockPOVM.times
     spec = rat0621(nat)
     povm = ClockPOVM(spec, 40, 0.2)
+    dist = outcome_probabilities(time_state(spec, 1.3), povm)
+    rec = with_estimate(sample(dist, 1000, seed=5))
+    assert dist.povm is povm and rec.povm is povm
+    assert "tau_grid" not in vars(povm)
     grid = povm.tau_grid
     assert povm.tau_grid is grid
     assert grid.dtype == np.float64 and not grid.flags.writeable
-    dist = outcome_probabilities(time_state(spec, float(grid[3])), povm)
-    rec = with_estimate(sample(dist, 1000, seed=5))
-    assert dist.tau_grid is grid and rec.tau_grid is grid
-    # a writable grid, or a read-only view of one, is still copied
-    taus = np.linspace(0.0, 1.0, 4, endpoint=False)
-    view = taus.view()
+    assert grid.tobytes() == povm.times(0, povm.n_outcomes).tobytes()
+    assert povm.times(7, 9).tobytes() == grid[7:9].tobytes()
+    # a writable probability vector, or a read-only view of one, is still copied
+    probs = np.full(4, 0.25)
+    view = probs.view()
     view.setflags(write=False)
-    for given in (taus, view):
-        copy = OutcomeDistribution(np.full(4, 0.25), given, 1.0).tau_grid
+    for given in (probs, view):
+        copy = OutcomeDistribution(given, dial(4)).probs
         assert copy is not given and not copy.flags.writeable
-        taus[0] = 0.5
-        assert copy[0] == 0.0
-        taus[0] = 0.0
+        probs[0] = 0.5
+        assert copy[0] == 0.25
+        probs[0] = 0.25
 
 
 def test_sample_deterministic_distribution(nat):
@@ -280,10 +294,10 @@ def test_sample_uniform_within_five_sigma(nat):
 
 
 def test_sample_rejects_bad_distribution(nat):
-    dist = OutcomeDistribution(np.array([0.5, 0.3]), np.array([0.0, 0.5]), 1.0)
+    dist = OutcomeDistribution(np.array([0.5, 0.3]), dial(2))
     with pytest.raises(InvalidDistribution):
         sample(dist, 10, seed=1)
-    good = OutcomeDistribution(np.array([0.5, 0.5]), np.array([0.0, 0.5]), 1.0)
+    good = OutcomeDistribution(np.array([0.5, 0.5]), dial(2))
     with pytest.raises(InvalidArgument):
         sample(good, 0, seed=1)
     with pytest.raises(InvalidArgument, match="seed"):
@@ -291,13 +305,12 @@ def test_sample_rejects_bad_distribution(nat):
     # nan passes any |sum - 1| tolerance test, so it is refused on construction
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidDistribution, match="finite"):
-            OutcomeDistribution(np.array([0.5, bad]), np.array([0.0, 0.5]), 1.0)
+            OutcomeDistribution(np.array([0.5, bad]), dial(2))
 
 
 def test_sample_renormalizes_small_drift(nat):
     drift = 1 + 2e-7
-    dist = OutcomeDistribution(np.array([0.5 * drift, 0.5 * drift]),
-                               np.array([0.0, 0.5]), 1.0)
+    dist = OutcomeDistribution(np.array([0.5 * drift, 0.5 * drift]), dial(2))
     rec = sample(dist, 100, seed=4)
     assert rec.counts.sum() == 100
 
@@ -314,11 +327,11 @@ def test_estimate_single_outcome_returns_tau_k(nat):
 
 
 def test_estimate_wraparound_is_zero_not_half_period(nat):
+    # half the shots at tau_1 = T/100, half at tau_99 = T - T/100
     T = 1.0
-    delta = 0.01
-    rec = MeasurementRecord(seed=0, shots=200,
-                            counts=np.array([100, 100]),
-                            tau_grid=np.array([T - delta, delta]), T=T)
+    counts = np.zeros(100, dtype=np.int64)
+    counts[[1, 99]] = 100
+    rec = MeasurementRecord(seed=0, shots=200, counts=counts, povm=dial(100, T))
     est = estimate_time(rec)
     dist_to_zero = min(est, T - est)
     assert dist_to_zero < 1e-12
@@ -326,17 +339,16 @@ def test_estimate_wraparound_is_zero_not_half_period(nat):
 
 
 def test_estimate_matches_naive_circular_mean(nat, rng):
-    taus = np.sort(rng.uniform(0, 1.0, size=6))
+    tau0 = float(rng.uniform(-1.0, 1.0))
     counts = rng.integers(1, 50, size=6)
-    rec = MeasurementRecord(seed=0, shots=int(counts.sum()),
-                            counts=counts, tau_grid=taus, T=1.0)
+    rec = MeasurementRecord(seed=0, shots=int(counts.sum()), counts=counts,
+                            povm=dial(6, 1.0, tau0))
     assert estimate_time(rec) == pytest.approx(
-        circular_mean_naive(counts, taus, 1.0), abs=1e-12)
+        circular_mean_naive(counts, [tau0 + m / 6 for m in range(6)], 1.0), abs=1e-12)
 
 
 def test_estimate_rejects_uniform_data(nat):
-    rec = MeasurementRecord(seed=0, shots=4, counts=np.array([1, 1, 1, 1]),
-                            tau_grid=np.array([0.0, 0.25, 0.5, 0.75]), T=1.0)
+    rec = MeasurementRecord(seed=0, shots=4, counts=np.array([1, 1, 1, 1]), povm=dial(4))
     with pytest.raises(NoEstimate):
         estimate_time(rec)
 
@@ -412,19 +424,16 @@ def test_windows_cover_the_dial_without_a_one_point_tail(monkeypatch):
 
 @st.composite
 def sparse_records(draw):
-    """Records with many empty bins, on a dial grid or on arbitrary times."""
-    n = draw(st.integers(1, 300))
+    """Records with many empty bins, on dials of any (T, tau_0, z)."""
+    n = draw(st.integers(2, 300))
     T = draw(st.floats(1e-3, 1e3))
-    if draw(st.booleans()):
-        tau0 = draw(st.floats(-1e3, 1e3))
-        taus = tau0 + np.arange(n) * (T / n)
-    else:
-        taus = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    tau0 = draw(st.floats(-1e6, 1e6))
     counts = draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 0, 1, 2, 7])
                          | st.integers(0, 2**40)))
     if not counts.any():
         counts[draw(st.integers(0, n - 1))] = 1
-    return MeasurementRecord(seed=0, shots=int(counts.sum()), counts=counts, tau_grid=taus, T=T)
+    return MeasurementRecord(seed=0, shots=int(counts.sum()), counts=counts,
+                             povm=dial(n, T, tau0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,7 +446,8 @@ def test_circular_mean_is_the_whole_grid_sum_to_the_bit(record, block):
         except NoEstimate:
             got = "uniform"
     try:
-        ref = circular_mean_dense(record.counts, record.tau_grid, record.T, record.shots)
+        ref = circular_mean_dense(record.counts, record.povm.tau_grid, record.povm.spectrum.T,
+                                  record.shots)
     except ValueError as exc:
         ref = str(exc)
     if isinstance(ref, str):
@@ -447,22 +457,20 @@ def test_circular_mean_is_the_whole_grid_sum_to_the_bit(record, block):
 
 
 def test_circular_mean_refuses_an_overflowing_angle_in_an_empty_bin():
-    # 2 pi tau/T overflows to inf in a bin with no counts: the whole-grid sum
-    # is nan, so the refusal holds although exp skips that bin
-    rec = MeasurementRecord(seed=0, shots=5, counts=[5, 0], tau_grid=[0.0, 1.7e308], T=1.0)
+    # 2 pi tau/T overflows to inf at tau_1 = 3.3e307, a bin with no counts: the
+    # whole-grid sum is nan, so the refusal holds although exp skips that bin
+    rec = MeasurementRecord(seed=0, shots=5, counts=[5, 0], povm=dial(2, 1e307, 2.8e307))
+    assert math.isfinite(2.0 * math.pi * rec.povm.tau_grid[0])
     with pytest.raises(ValueError, match="overflow"):
-        circular_mean_dense(rec.counts, rec.tau_grid, rec.T, rec.shots)
-    with pytest.raises(InvalidArgument, match="overflow"):
-        circular_mean(rec)
-    rec = MeasurementRecord(seed=0, shots=5, counts=[5, 0], tau_grid=[0.0, math.nan], T=1.0)
+        circular_mean_dense(rec.counts, rec.povm.tau_grid, rec.povm.spectrum.T, rec.shots)
     with pytest.raises(InvalidArgument, match="overflow"):
         circular_mean(rec)
 
 
 def test_a_dial_exact_measurement_stays_under_six_mib(nat):
-    # p = 5, z = 10^5: the record keeps probs, tau_grid and counts, 24 B per
-    # dial time (2.4 MB); the twiddle table and the summands of the circular
-    # mean, 16 B per dial time each, live one at a time.  Whole-length
+    # p = 5, z = 10^5: the record keeps probs and counts, 16 B per dial time
+    # (1.6 MB), and no dial times; the twiddle table and the summands of the
+    # circular mean, 16 B per dial time each, live one at a time.  Whole-length
     # temporaries in each kernel would take the same measurement to 8.0 MB.
     ratios = [RationalRatio(5, 3), RationalRatio(7, 2), RationalRatio(113, 7),
               RationalRatio(997, 11)]
@@ -484,14 +492,14 @@ def test_a_measurement_shares_its_arrays_and_freezes_no_caller_array(nat):
     spec = rat0621(nat)
     dist = outcome_probabilities(time_state(spec, 1.1), ClockPOVM(spec, 40, 0.2))
     assert not dist.probs.flags.writeable and dist.probs.flags.owndata
-    assert OutcomeDistribution(dist.probs, dist.tau_grid, dist.T).probs is dist.probs
+    assert OutcomeDistribution(dist.probs, dist.povm).probs is dist.probs
     rec = sample(dist, 1000, seed=3)
     assert not rec.counts.flags.writeable and rec.counts.flags.owndata
     est = with_estimate(rec)
-    assert est.counts is rec.counts and est.tau_grid is rec.tau_grid
+    assert est.counts is rec.counts and est.povm is rec.povm
     # a caller's writable array is copied, never frozen
     counts = np.array([3, 0, 1])
-    rec = MeasurementRecord(seed=0, shots=4, counts=counts, tau_grid=[0.0, 0.25, 0.5], T=1.0)
+    rec = MeasurementRecord(seed=0, shots=4, counts=counts, povm=dial(3))
     assert counts.flags.writeable and rec.counts is not counts
     counts[0] = 9
     assert rec.counts[0] == 3
@@ -499,12 +507,14 @@ def test_a_measurement_shares_its_arrays_and_freezes_no_caller_array(nat):
 
 @pytest.mark.parametrize("counts, taus, match", [
     ([-1, 2], [0.0, 0.5], "non-negative"),
-    ([1, 2], [0.0, 0.25, 0.5], "equal-length"),
-    ([3], [0.0, 0.25, 0.5], "equal-length"),
-    ([[1, 2]], [[0.0, 0.5]], "equal-length"),
+    ([1, 2], [0.0, 1 / 3, 2 / 3], "equal-length"),
+    ([3], [0.0, 1 / 3, 2 / 3], "equal-length"),
+    ([[1, 2]], [0.0, 0.5], "equal-length"),
     ([0, 0], [0.0, 0.5], "shots must be >= 1"),
 ])
 def test_a_record_refuses_negative_or_misshapen_counts(counts, taus, match):
+    # taus is the dial the record is on: n = len(taus) times over T = 1
+    povm = dial(len(taus))
+    assert povm.tau_grid.tolist() == taus
     with pytest.raises(InvalidArgument, match=match):
-        MeasurementRecord(seed=0, shots=sum(np.ravel(counts)), counts=counts,
-                          tau_grid=taus, T=1.0)
+        MeasurementRecord(seed=0, shots=sum(np.ravel(counts)), counts=counts, povm=povm)
