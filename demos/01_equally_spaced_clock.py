@@ -39,7 +39,7 @@ print("|<tau_0|t=0.2>| =", abs(overlap(first, mid)))
 # eigenvalues are exactly the dial readings.
 op = hermitian_time_operator(spec)
 print("time operator eigenvalues:", np.round(op.eigenvalues(), 12))
-print("dial grid:               ", op.tau_grid)
+print("dial grid:               ", op.povm.tau_grid)
 
 # The time operator generates shifts in energy: exponentiating it against
 # one level spacing permutes the energy basis cyclically.

@@ -58,6 +58,10 @@ to an offset phase u_n per level, so sum_m f_m |tau_m><tau_m| is the
 circulant u_n conj(u_k) c[(n-k) mod (p+1)] with c = fft(f)/(p+1): the
 Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 
+Every dial entry point builds its dial as a ClockPOVM, the one check of z
+and tau_0.  The frame operator holds r_n mod (z+1) in int64, so it and the
+rationalized residual take z+1 <= 2^62; the exact residual takes any z.
+
 All operations are pure.  A path whose arrays grow with z, N or p is charged
 its peak in bytes by spectrum._charge before it allocates; the exact residual,
 O(p+1), is not.  The dense grid is built only on request (grid_amplitudes);
@@ -131,8 +135,8 @@ def _dial_rows(povm: ClockPOVM):
     a time: row n is w[(r_n mod (z+1)) m mod (z+1)] u_n with the exact tau_0
     offset phase u_n, so z+1 complex exp serve all p+1 rows and every window.
     Other spectra take float phases f_n tau_m straight from the energies, with
-    tau_m from povm.times; an offset so large that they overflow gives nan
-    rows, not warnings.  Every entry is computed elementwise, so a window holds
+    tau_m from povm.times; a time that overflows gives a nan row, not a
+    warning.  Every entry is computed elementwise, so a window holds
     the same bits as the same stretch of a full row; rows(0, z+1) yields full
     rows.  A caller that folds the rows a window at a time, and drops each row
     before it asks for the next, keeps one window of memory beside the 16 B per
@@ -158,8 +162,7 @@ def _dial_rows(povm: ClockPOVM):
     freqs = spec.levels / (2.0 * math.pi * spec.hbar)
 
     def rows(start, stop):
-        with np.errstate(over="ignore"):  # an overflowed time gives nan rows too
-            taus = povm.times(start, stop)
+        taus = povm.times(start, stop)
         for f in freqs:
             with np.errstate(over="ignore", invalid="ignore"):
                 row = np.exp(-2j * math.pi * (f * taus))
@@ -167,13 +170,6 @@ def _dial_rows(povm: ClockPOVM):
             yield row
             del row
     return rows
-
-
-def _outcome_count(spec: ClockSpectrum, z: int) -> int:
-    """z+1 for a dial with z >= p."""
-    if z < spec.p:
-        raise InvalidArgument(f"need z >= p, got z={z}, p={spec.p}")
-    return int(z) + 1
 
 
 def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
@@ -209,7 +205,8 @@ class TimeState:
 
 @dataclass(frozen=True, eq=False)
 class ClockPOVM:
-    """The family { (p+1)/(z+1) |tau_m><tau_m| }, m = 0..z."""
+    """The family { (p+1)/(z+1) |tau_m><tau_m| }, m = 0..z: the one check that
+    z is an int >= p (a float, even 4.0, is not) and tau_0 is finite."""
 
     spectrum: ClockSpectrum
     z: int
@@ -234,11 +231,13 @@ class ClockPOVM:
         """The dial times tau_m for m in [start, stop), as float64.
 
         The one spelling of the dial: tau_0 + m * (T/(z+1)), worked in place in
-        that order, so the same m gives the same bits in every caller.
+        that order, so the same m gives the same bits in every caller.  A time
+        past the float range is inf, without a warning.
         """
         taus = np.arange(start, stop, dtype=float)
         taus *= self.spectrum.T / (self.z + 1)
-        taus += float(self.tau_0)
+        with np.errstate(over="ignore"):
+            taus += float(self.tau_0)
         return taus
 
     @functools.cached_property
@@ -251,8 +250,8 @@ class ClockPOVM:
 
     def element(self, m: int) -> np.ndarray:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
-        if not 0 <= m <= self.z:
-            raise InvalidArgument(f"outcome index {m} outside 0..{self.z}")
+        if not isinstance(m, (int, np.integer)) or not 0 <= m <= self.z:
+            raise InvalidArgument(f"outcome index {m!r} outside the integers 0..{self.z}")
         _charge(16 * self.spectrum.dimension ** 2, "a POVM element")
         tau_m = Fraction(self.tau_0) + m * Fraction(self.spectrum.T) / (self.z + 1)
         v = time_state(self.spectrum, tau_m).amplitudes
@@ -282,13 +281,6 @@ def evolve(state: TimeState, dt: float) -> TimeState:
     return TimeState(amps, state.tau + float(dt), state.spectrum)
 
 
-def _check_frame(spec: ClockSpectrum, zp1: int, tau_0) -> None:
-    if zp1 > 2**62:
-        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
-    if not math.isfinite(tau_0):
-        raise InvalidArgument(f"dial time must be finite, got {tau_0!r}")
-
-
 def _offset_phases(spec: ClockSpectrum, tau_0) -> np.ndarray:
     """u_n conj(u_k) with u_n = e^{-2 pi i t_n}, t_n the tau_0 offset in turns.
 
@@ -307,9 +299,11 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     = (r_n - r_k) + d_nk.  The geometric sum is expm1(-2 pi i d) /
     ((z+1) expm1(-2 pi i s/(z+1))), with r_n - r_k reduced mod z+1 exactly
     so the small angle never cancels.  Exact spectra have d = 0, so every
-    entry of the sum is exactly 1 or 0.  Costs O((p+1)^2) whatever z is.
+    entry of the sum is exactly 1 or 0.  Costs O((p+1)^2) whatever z is; the
+    residues are int64, so z+1 is at most 2^62.
     """
-    _check_frame(spec, zp1, tau_0)
+    if zp1 > 2**62:
+        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
     _charge(73 * spec.dimension ** 2, "a frame operator")
     res = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
     q = (res[:, None] - res[None, :] + zp1 // 2) % zp1 - zp1 // 2
@@ -328,28 +322,28 @@ def _completeness_residual(spec: ClockSpectrum, zp1: int, tau_0) -> float:
     On exact spectra F = D P D^H, P all-ones inside each residue class of
     r_n mod (z+1), so F - I has eigenvalues c - 1 and -1 over the classes of
     size c: the residual is 0 for distinct residues, else max(c_max - 1, 1),
-    exactly.  Other spectra take the eigenvalues of the closed-form F.
+    exactly, in Python ints for any z+1.  Other spectra take the eigenvalues
+    of the closed-form F.
     """
     if not spec.has_exact_integers:
         F = _frame(spec, zp1, tau_0)
         return float(np.abs(np.linalg.eigvalsh(F - np.eye(len(F)))).max())
-    _check_frame(spec, zp1, tau_0)
     largest = max(Counter(rn % zp1 for rn in spec.r).values())
     return 0.0 if largest == 1 else float(max(largest - 1, 1))
 
 
 def frame_operator(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarray:
     """F = (p+1)/(z+1) * sum_m |tau_m><tau_m|, summed over m in closed form."""
-    return _frame(spec, _outcome_count(spec, z), tau_0)
+    return _frame(spec, ClockPOVM(spec, z, tau_0).n_outcomes, tau_0)
 
 
 def identity_residual(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> float:
     """Operator 2-norm of the frame operator minus the identity.
 
     Zero certifies the POVM resolves the identity; on exact spectra the value
-    is exact, on rationalized ones it is good to float accuracy.
+    is exact for any z, on rationalized ones it is good to float accuracy.
     """
-    return _completeness_residual(spec, _outcome_count(spec, z), tau_0)
+    return _completeness_residual(spec, ClockPOVM(spec, z, tau_0).n_outcomes, tau_0)
 
 
 def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
@@ -361,42 +355,51 @@ def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
     exact for the trigonometric-polynomial integrand once quad_points
     exceeds every phase-frequency difference |r_n - r_k|.  The default guard
     demands quad_points >= 2 (r_p + 1); pass enforce_nyquist=False to study
-    aliasing below it.
+    aliasing below it.  Fewer than p+1 nodes make no POVM, so no ClockPOVM
+    checks quad_points and t_0.
     """
+    if not isinstance(quad_points, (int, np.integer)):
+        raise InvalidArgument(f"quad_points must be an integer, got {quad_points!r}")
     r_p = spec.r[-1]
     if enforce_nyquist and quad_points < 2 * (r_p + 1):
         raise InvalidArgument(
             f"need quad_points >= 2*(r_p+1) = {2 * (r_p + 1)}, got {quad_points}")
     if quad_points < 2:
         raise InvalidArgument("need at least 2 quadrature points")
+    if not math.isfinite(t_0):  # the exact residual computes no phase to refuse it
+        raise InvalidArgument(f"dial time must be finite, got {t_0!r}")
     # the N-point periodic trapezoid over [t_0, t_0+T] is the dial grid with z+1 = N
     return _completeness_residual(spec, int(quad_points), t_0)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeOperator:
-    """The Hermitian dial observable, z = p, in the energy basis."""
+    """The Hermitian dial observable of the z = p dial povm, in the energy basis."""
 
     matrix: np.ndarray
-    tau_grid: np.ndarray
-    spectrum: ClockSpectrum
+    povm: ClockPOVM
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _dial_circulant(spec: ClockSpectrum, tau_0, f) -> np.ndarray:
-    """sum_m f_m |tau_m><tau_m| on the z = p dial of an equally spaced spectrum.
+def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
+    """sum_m f_m |tau_m><tau_m| on the z = p dial povm of an equally spaced spectrum.
 
     With r_n = n, <E_n|tau_m> = u_n e^{-2 pi i n m/(p+1)} / sqrt(p+1), so
     entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)], c = fft(f)/(p+1):
     one length-(p+1) FFT and a gather, O((p+1)^2) instead of a grid product.
+    An f that is not finite, or whose sums overflow, is refused.
     """
+    spec = povm.spectrum
     _charge(48 * spec.dimension ** 2, "a dial operator")
-    c = np.fft.fft(f) / spec.dimension
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.fft.fft(f) / spec.dimension
+    if not np.isfinite(c).all():
+        raise InvalidArgument("the dial operator's sums overflow the float range")
     n = np.arange(spec.dimension)
     # n - k lies in [-p, p], and a negative index wraps mod p+1
-    return _offset_phases(spec, tau_0) * c[n[:, None] - n]
+    return _offset_phases(spec, povm.tau_0) * c[n[:, None] - n]
 
 
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
@@ -404,15 +407,16 @@ def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOper
 
     Only the equally-spaced spectrum admits orthogonal time states, so only
     there does the dial observable collapse to a Hermitian operator.  The
-    dial times are ClockPOVM(spec, p, tau_0).tau_grid.
+    dial times are ClockPOVM(spec, p, tau_0).tau_grid; a dial whose times or
+    their sum overflow the float range is refused.
     """
     if spec.kind is not SpectrumKind.EQUALLY_SPACED:
         raise UnsupportedSpectrum(
             "the Hermitian time operator exists only for equally-spaced spectra")
-    taus = ClockPOVM(spec, spec.p, tau_0).tau_grid
-    matrix = _dial_circulant(spec, tau_0, taus)
+    povm = ClockPOVM(spec, spec.p, tau_0)
+    matrix = _dial_circulant(povm, povm.tau_grid)
     matrix = 0.5 * (matrix + matrix.conj().T)  # scrub rounding asymmetry
-    return TimeOperator(matrix, taus, spec)
+    return TimeOperator(matrix, povm)
 
 
 def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
@@ -422,12 +426,11 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
     d}>, a consequence of the e^{-i E tau} phase sign); the opposite sign
     raises.  Either way tau_hat generates energy shifts.
     """
-    spec = op.spectrum
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * delta_e * op.tau_grid / spec.hbar)
+        phases = np.exp(-1j * delta_e * op.povm.tau_grid / op.povm.spectrum.hbar)
     if not np.isfinite(phases).all():
         raise InvalidArgument(f"energy shift {delta_e!r} gives non-finite phases")
-    return _dial_circulant(spec, float(op.tau_grid[0]), phases)
+    return _dial_circulant(op.povm, phases)
 
 
 def _overlap_sq_slope(w: np.ndarray, t: float) -> tuple[complex, float]:

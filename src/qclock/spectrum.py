@@ -15,8 +15,8 @@ resulting spectrum keeps the original levels so that downstream completeness
 checks measure the true approximation residual.
 
 The r_n are exact Python integers throughout.  LCMs blow up combinatorially,
-so constructors enforce a configurable big-integer budget instead of silently
-producing unusable spectra.
+so constructors enforce a fixed big-integer budget, DEFAULT_INTEGER_BUDGET,
+instead of silently producing unusable spectra.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CapacityError, InvalidArgument
 from .units import ConstantsSet, natural_units
 
-# r_p above this default budget aborts spectrum construction.
+# r_p above this budget aborts spectrum construction.
 DEFAULT_INTEGER_BUDGET = 2**256
 # bytes a call may peak at, charged by _charge before it allocates.  A gathered
 # dial holds a 16 B twiddle per point, so N <= 2^28 and (r_n mod N) m < 2^56.
@@ -163,33 +163,30 @@ def build_equally_spaced(p: int, T: float, consts: ConstantsSet | None = None) -
                          SpectrumKind.EQUALLY_SPACED)
 
 
-def _integers_from_ratios(ratios: Sequence[RationalRatio],
-                          max_int: int) -> tuple[int, ...]:
+def _integers_from_ratios(ratios: Sequence[RationalRatio]) -> tuple[int, ...]:
     """LCM construction: r_1 = lcm of the B_n, r_n = r_1*C_n/B_n, all exact."""
     fracs = [r.as_fraction() for r in ratios]
     if any(f <= 1 for f in fracs):
         raise InvalidArgument("ratios E_n/E_1 must all exceed 1")
     if any(b <= a for a, b in zip(fracs, fracs[1:])):
         raise InvalidArgument("ratios must be strictly increasing")
+    budget = f"the integer budget 2^{DEFAULT_INTEGER_BUDGET.bit_length() - 1}"
     r1 = 1
     for ratio in ratios:
         r1 = r1 * ratio.B // math.gcd(r1, ratio.B)
-        if r1 > max_int:
-            raise CapacityError(
-                f"lcm of denominators exceeds the integer budget 2^{max_int.bit_length() - 1}")
+        if r1 > DEFAULT_INTEGER_BUDGET:
+            raise CapacityError(f"lcm of denominators exceeds {budget}")
     r = [0, r1]
     for f in fracs:
         rn = r1 * f.numerator // f.denominator
-        if rn > max_int:
-            raise CapacityError(
-                f"r_n = {rn} exceeds the integer budget 2^{max_int.bit_length() - 1}")
+        if rn > DEFAULT_INTEGER_BUDGET:
+            raise CapacityError(f"r_n = {rn} exceeds {budget}")
         r.append(rn)
     return tuple(r)
 
 
 def build_rational(ratios: Sequence[RationalRatio], e1: float,
-                   consts: ConstantsSet | None = None,
-                   max_int: int = DEFAULT_INTEGER_BUDGET) -> ClockSpectrum:
+                   consts: ConstantsSet | None = None) -> ClockSpectrum:
     """Spectrum from rational ratios E_n/E_1 (n = 2..p) and the first gap E_1.
 
     p = len(ratios) + 1.  An empty ratio list yields the two-level clock.
@@ -198,7 +195,7 @@ def build_rational(ratios: Sequence[RationalRatio], e1: float,
     if not (e1 > 0 and math.isfinite(e1)):
         raise InvalidArgument(f"E_1 must be positive, got {e1!r}")
     ratios = list(ratios)
-    r = _integers_from_ratios(ratios, max_int)
+    r = _integers_from_ratios(ratios)
     r1 = r[1]
     T = 2.0 * math.pi * consts.hbar * r1 / e1
     # E_n = E_1 * r_n / r_1 with the ratio reduced exactly before rounding
@@ -258,8 +255,7 @@ def rationalize(levels: Sequence[float], epsilon: float) -> tuple[list[RationalR
 
 
 def rationalized_spectrum(levels: Sequence[float], epsilon: float,
-                          consts: ConstantsSet | None = None,
-                          max_int: int = DEFAULT_INTEGER_BUDGET) -> ClockSpectrum:
+                          consts: ConstantsSet | None = None) -> ClockSpectrum:
     """Approximate an arbitrary real spectrum by one with integer frequencies.
 
     The returned spectrum keeps the ORIGINAL levels; only r and T come from
@@ -270,7 +266,7 @@ def rationalized_spectrum(levels: Sequence[float], epsilon: float,
     consts = consts or natural_units()
     levels = np.asarray(levels, dtype=float)
     ratios, _ = rationalize(levels, epsilon)
-    r = _integers_from_ratios(ratios, max_int)
+    r = _integers_from_ratios(ratios)
     T = 2.0 * math.pi * consts.hbar * r[1] / float(levels[1])
     return ClockSpectrum(levels, r, T, consts.hbar, SpectrumKind.RATIONALIZED,
                          epsilon=float(epsilon))

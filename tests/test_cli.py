@@ -249,12 +249,11 @@ def build_file(tmp_path, capsys, name, *argv):
     ["measure", "--state", "clock:\x01"],
     ["measure", "--state", "t:0.1", "--tau0", "nan"],
     ["check-identity", "--tau0", "nan"],
-    ["check-identity", "--z", str(2**62)],
     ["build", "--kind", "rationalized", "--levels", "0,1,x", "--epsilon", "1e-3"],
     ["build", "--kind", "rationalized", "--levels", "0,1,nan", "--epsilon", "1e-3"],
     ["build", "--kind", "rationalized", "--levels", "0,1,inf", "--epsilon", "1e-3"],
 ], ids=["taum-abc", "energy-x", "t-nan", "t-inf", "t-no-value", "control-char",
-        "tau0-nan", "check-tau0-nan", "z-beyond-2^62", "levels-x", "levels-nan",
+        "tau0-nan", "check-tau0-nan", "levels-x", "levels-nan",
         "levels-inf"])
 @pytest.mark.parametrize("kind", ["rational", "rationalized"])
 def test_bad_input_exits_1_with_json_error(tmp_path, capsys, argv, kind):
@@ -274,6 +273,29 @@ def test_bad_input_exits_1_with_json_error(tmp_path, capsys, argv, kind):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("z", [2**62, 2**70], ids=["2^62", "2^70"])
+@pytest.mark.parametrize("kind", ["rational", "rationalized"])
+def test_check_identity_past_2_62_caps_only_the_frame(tmp_path, capsys, kind, z):
+    # an exact residual counts residues in Python ints; a rationalized one
+    # builds the frame, whose int64 residues stop at z+1 = 2^62
+    if kind == "rational":
+        spec = build_file(tmp_path, capsys, "s.spec", "--kind", "rational",
+                          "--ratios", "4/1", "--e1", "1.0")
+    else:
+        spec = build_file(tmp_path, capsys, "s.spec", "--kind", "rationalized",
+                          "--levels", f"0,1,{math.sqrt(2)!r}", "--epsilon", "1e-3")
+    code, out, err = run_cli(capsys, "check-identity", "--spectrum", spec, "--z", str(z),
+                             "--units", "natural")
+    if kind == "rational":
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["z"], result["residual"]) == (z, 0.0)
+    else:
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "invalid-argument"
+        assert "2^62" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("argv, path, code", [

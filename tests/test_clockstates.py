@@ -250,8 +250,20 @@ def test_identity_residual_beyond_the_dense_grid_cap(nat):
     assert spec.r == (0, 462, 770, 1617, 7458, 41874)
     assert identity_residual(spec, 10**12) < 1e-12
     assert identity_residual(spec, 2**62 - 1, 0.3) < 1e-12
-    with pytest.raises(InvalidArgument, match="2\\^62"):
-        identity_residual(spec, 2**62)
+    # the exact residual counts residues in Python ints, so no z is too large
+    assert identity_residual(spec, 2**62, 0.3) == 0.0
+    assert identity_residual(spec, 2**70) == 0.0
+    witness = build_rational([RationalRatio(2**70 + 1, 1)], 1.0, nat)  # r = (0, 1, 2^70 + 1)
+    assert identity_residual(witness, 2**70 - 1) == 1.0  # r_2 = r_1 mod 2^70
+    assert identity_residual(witness, 2**70) == 1.0  # r_2 = r_0 mod 2^70 + 1
+    assert identity_residual(witness, 2**70 + 1) == 0.0
+    # the frame holds r_n mod (z+1) in int64: it and rationalized residuals stop at 2^62
+    rat = rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)
+    assert 0.0 < identity_residual(rat, 2**62 - 1) < 1e-2  # the approximation's residual
+    for call in (lambda: frame_operator(spec, 2**62), lambda: identity_residual(rat, 2**62),
+                 lambda: frame_operator(rat, 2**70), lambda: identity_residual(rat, 2**70)):
+        with pytest.raises(InvalidArgument, match="2\\^62"):
+            call()
 
 
 def test_completeness_never_builds_the_dial_grid(nat, monkeypatch):
@@ -284,6 +296,35 @@ def test_identity_residual_failure_witness_family(nat):
     for k in range(4, 14):
         spec = build_rational([RationalRatio(k, 1)], 1.0, nat)
         assert identity_residual(spec, k - 2, 0.3) > 0.1
+
+
+DIAL_ENTRY_POINTS = {
+    "ClockPOVM": ClockPOVM,
+    "grid_amplitudes": grid_amplitudes,
+    "frame_operator": frame_operator,
+    "identity_residual": identity_residual,
+    "hermitian_time_operator": lambda spec, z, tau_0: hermitian_time_operator(spec, tau_0),
+}
+# z, tau_0 and ClockPOVM's message, on a dial with p = 3
+BAD_DIALS = {
+    "z-3.5": (3.5, 0.0, "need z >= p"),
+    "z-4.0": (4.0, 0.0, "need z >= p"),
+    "z-below-p": (2, 0.0, "need z >= p"),
+    "tau0-nan": (3, math.nan, "tau_0 must be finite"),
+    "tau0-inf": (3, math.inf, "tau_0 must be finite"),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in DIAL_ENTRY_POINTS for bad in BAD_DIALS
+    # the time operator's dial has z = p; only its tau_0 is the caller's
+    if entry != "hermitian_time_operator" or bad.startswith("tau0")])
+def test_every_dial_entry_point_refuses_a_bad_dial(nat, entry, bad):
+    spec, call = build_equally_spaced(3, 1.0, nat), DIAL_ENTRY_POINTS[entry]
+    z, tau_0, message = BAD_DIALS[bad]
+    with pytest.raises(InvalidArgument, match=message):
+        call(spec, z, tau_0)
+    call(spec, np.int64(4), 0.25)
 
 
 def test_identity_residual_rejects_small_z(nat):
@@ -341,6 +382,20 @@ def test_continuous_residual_nyquist_guard(nat):
     assert continuous_identity_residual(spec, 21, enforce_nyquist=False) > 0.5
 
 
+def test_continuous_residual_refuses_a_bad_node_count_or_offset(nat):
+    for spec in (rat0621(nat), rationalized_spectrum([0.0, 1.0, math.sqrt(2)], 1e-3, nat)):
+        nyquist = 2 * (spec.r[-1] + 1)
+        for quad_points in (nyquist + 0.5, float(nyquist)):
+            with pytest.raises(InvalidArgument, match="quad_points must be an integer"):
+                continuous_identity_residual(spec, quad_points)
+        # the exact residual computes no phase, so t_0 is checked on its own
+        for t_0 in (math.nan, math.inf):
+            with pytest.raises(InvalidArgument, match="must be finite"):
+                continuous_identity_residual(spec, nyquist, t_0)
+        assert (continuous_identity_residual(spec, np.int64(nyquist), 0.25)
+                == continuous_identity_residual(spec, nyquist, 0.25))
+
+
 def test_continuous_residual_aliasing_witness(nat):
     spec = rat0621(nat)
     nyquist = 2 * (spec.r[-1] + 1)
@@ -362,8 +417,8 @@ def test_time_operator_hermitian_and_spectrum(nat, rng):
     tau0 = float(rng.uniform(0, spec.T))
     op = hermitian_time_operator(spec, tau0)
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
-    assert np.allclose(np.sort(op.eigenvalues()), np.sort(op.tau_grid), atol=1e-10)
-    assert np.trace(op.matrix).real == pytest.approx(op.tau_grid.sum(), rel=1e-12)
+    assert np.allclose(np.sort(op.eigenvalues()), np.sort(op.povm.tau_grid), atol=1e-10)
+    assert np.trace(op.matrix).real == pytest.approx(op.povm.tau_grid.sum(), rel=1e-12)
 
 
 def test_time_operator_generates_energy_shifts(nat):
@@ -402,9 +457,10 @@ def test_time_operator_matches_float_phase_oracle(request, units, p):
     ref = dial_operator_naive(spec.levels, spec.hbar, taus, taus)
     assert np.max(np.abs(op.matrix - ref)) < 1e-12 * spec.T
     assert np.array_equal(op.matrix, op.matrix.conj().T)
+    assert (op.povm.z, op.povm.tau_0) == (p, tau0)
     grid = ClockPOVM(spec, p, tau0).tau_grid
-    assert op.tau_grid.tobytes() == grid.tobytes()
-    assert not op.tau_grid.flags.writeable
+    assert op.povm.tau_grid.tobytes() == grid.tobytes()
+    assert not op.povm.tau_grid.flags.writeable
     for delta_e in (2 * math.pi * spec.hbar / spec.T, 0.3 * spec.hbar / spec.T):
         U = energy_shift_unitary(op, delta_e)
         phases = shift_phases(spec, taus, delta_e)
@@ -438,6 +494,16 @@ def test_energy_shift_refuses_non_finite_phases(nat, delta_e):
         energy_shift_unitary(op, delta_e)
 
 
+@pytest.mark.parametrize("p, tau0", [(1, 1.7e308), (3, 1e308)],
+                         ids=["last-time-overflows", "times-sum-overflows"])
+def test_time_operator_refuses_an_overflowing_dial(nat, p, tau0):
+    # over T = 1e308 the first dial's second time is inf; the second's four
+    # times are finite, 1e308 to 1.75e308, but their sum, the FFT's zero-frequency
+    # term, is not.  A RuntimeWarning on the way would fail the test too
+    with pytest.raises(InvalidArgument, match="overflow"):
+        hermitian_time_operator(build_equally_spaced(p, 1e308, nat), tau0)
+
+
 # --- POVM object ----------------------------------------------------------------
 
 def test_povm_elements_sum_to_identity(nat):
@@ -455,6 +521,14 @@ def test_povm_element_is_one_grid_column(nat):
         for m in (0, 1, povm.z // 2, povm.z):
             expected = float(povm.weight) * np.outer(V[:, m], V[:, m].conj())
             assert np.max(np.abs(povm.element(m) - expected)) < 1e-12
+
+
+def test_povm_element_refuses_an_index_off_the_dial(nat):
+    povm = ClockPOVM(rat0621(nat), 21)
+    for m in (1.5, 2.0, -1, 22):
+        with pytest.raises(InvalidArgument, match="outcome index"):
+            povm.element(m)
+    assert np.array_equal(povm.element(np.int64(2)), povm.element(2))
 
 
 def test_povm_rejects_small_z(nat):

@@ -108,9 +108,12 @@ def test_rational_rejects_nonincreasing(nat):
 
 
 def test_rational_capacity_budget(nat):
-    ratios = [RationalRatio(9, 7), RationalRatio(11, 8), RationalRatio(13, 9)]
-    with pytest.raises(CapacityError):
-        build_rational(ratios, 1.0, nat, max_int=100)  # lcm(7, 8, 9) = 504
+    # two odd denominators 2 apart are coprime: each is below the 2^256 budget,
+    # their lcm, the product, is past it
+    b1, b2 = 2**130 + 1, 2**130 + 3
+    ratios = [RationalRatio(2 * b1 + 1, b1), RationalRatio(3 * b2 + 1, b2)]
+    with pytest.raises(CapacityError, match="lcm of denominators"):
+        build_rational(ratios, 1.0, nat)
 
 
 def test_degenerate_levels_rejected():
