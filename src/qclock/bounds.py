@@ -24,6 +24,17 @@ which is positive exactly when l_C/2 > 2 G m_rest / c^2.  The limits:
 The mass optimizer treats the spreading, Compton, and gravitational
 (dt > 4 G m / c^3) curves as lower bounds in the (m, dt) plane and minimizes
 their pointwise maximum; for Theta > 4 t_p the Compton curve never binds.
+
+Every limit is a closed form in (l_C, m_rest, m, Theta, T, p, r_p, z) and the
+speed limit of the spectrum, so one private kernel, _bound_columns, evaluates
+them all over numpy columns: bound_report is its one-row case, and the CLI
+sweep calls it once for all of its steps.  The columns give the bits of the
+one-value formulas: +, -, *, / and sqrt round correctly in numpy as in Python
+when the operations come in the same order, and the powers of a swept value
+(the cube roots in the mass limit and the fundamental floor) are taken with
+Python's ** one element at a time, since numpy's power differs from it in the
+last bit.  A refusal names the first row at fault and, in that row, the first
+check that fails, in the order one-value evaluation would meet them.
 """
 
 from __future__ import annotations
@@ -40,6 +51,17 @@ from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
 
 
+# ClockBody's checks, on a number or a column: (field, test, message)
+_BODY_CHECKS = (
+    ("l_C", lambda x: (x > 0.0) & (abs(x) < math.inf),
+     "clock diameter must be positive, got {!r}"),
+    ("m_rest", lambda x: (x >= 0.0) & (abs(x) < math.inf), "rest mass must be >= 0, got {!r}"),
+    ("m", lambda x: np.logical_not(x < 0.0), "inertial mass must be >= 0, got {!r}"),
+)
+_INSIDE = ("clock half-diameter does not exceed twice G m_rest/c^2; "
+           "the confinement bound would be negative")
+
+
 @dataclass(frozen=True)
 class ClockBody:
     """Geometry and mass of the physical clock.
@@ -54,24 +76,83 @@ class ClockBody:
     m: float | None = None
 
     def __post_init__(self):
-        if not (self.l_C > 0 and math.isfinite(self.l_C)):
-            raise InvalidArgument(f"clock diameter must be positive, got {self.l_C!r}")
-        if not (self.m_rest >= 0 and math.isfinite(self.m_rest)):
-            raise InvalidArgument(f"rest mass must be >= 0, got {self.m_rest!r}")
         if self.m is None:
             object.__setattr__(self, "m", self.m_rest)
-        if self.m < 0:
-            raise InvalidArgument(f"inertial mass must be >= 0, got {self.m!r}")
+        for name, ok, message in _BODY_CHECKS:
+            value = getattr(self, name)
+            if not ok(value):
+                raise InvalidArgument(message.format(value))
 
+
+# --- the formulas, each on a float or a numpy column --------------------------
+
+def _pow(base, exponent: float):
+    """base ** exponent by Python's pow, one element at a time over an array,
+    whose power numpy can round differently in the last bit; nan below 0."""
+    if np.ndim(base) == 0:
+        return base ** exponent
+    return np.fromiter((b ** exponent if b >= 0.0 else math.nan for b in map(float, base)),
+                       float, count=base.size)
+
+
+def _admissible(consts: ConstantsSet, l_C, m_rest):
+    """l_C/2 > 2 G m_rest/c^2: the body is wider than its Schwarzschild diameter."""
+    return l_C / 2.0 > 2.0 * consts.G * m_rest / consts.c**2
+
+
+def _chi(consts: ConstantsSet, l_C, m_rest):
+    scale = derive_planck_scale(consts)
+    return l_C / (4.0 * scale.l_p * scale.t_p) - m_rest * consts.c**2 / consts.hbar
+
+
+def _discretization(chi, count, zp1: float):
+    return 2.0 * math.pi / chi * count / zp1
+
+
+def _spread(consts: ConstantsSet, m, theta):
+    """The optimal position spread delta_x_opt = sqrt(hbar Theta/(2m))."""
+    return np.sqrt(consts.hbar * theta / (2.0 * m))
+
+
+def _mass_limit(consts: ConstantsSet, theta):
+    return _pow(consts.c**4 * consts.hbar * theta / (32.0 * consts.G**2), 1.0 / 3.0)
+
+
+def _fundamental(consts: ConstantsSet, theta: np.ndarray) -> np.ndarray:
+    """fundamental_resolution over a column of operational times."""
+    t_p = derive_planck_scale(consts).t_p
+    dt = 2.0 ** (1.0 / 3.0) * _pow(theta, 1.0 / 3.0) * t_p ** (2.0 / 3.0)
+    # below 4 t_p the mass optimizer's Compton/gravity floor takes over
+    for i in np.flatnonzero((theta > 0.0) & ~(theta >= 4.0 * t_p)):
+        dt[i] = optimize_mass(float(theta[i]), consts, include_compton=True).dt_min
+    return dt
+
+
+def _dial_states(z, p, r_p=None) -> float:
+    """float(z+1), the one check of z for a bound: z is an int with z >= p for an
+    equally spaced spectrum, or z+1 > r_p for a generic one (r_p given)."""
+    if not isinstance(z, (int, np.integer)):
+        raise InvalidArgument(f"z must be an integer, got {z!r}")
+    z = int(z)
+    if r_p is None:
+        if z < p:
+            raise InvalidArgument(f"need z >= p, got z={z}, p={p}")
+    elif not z + 1 > r_p:
+        raise InvalidArgument(f"completeness requires z+1 > r_p, got z+1={z + 1}, r_p={r_p}")
+    try:
+        return float(z + 1)
+    except OverflowError:
+        raise InvalidArgument(f"z+1 has {(z + 1).bit_length()} bits, "
+                              "past the float64 range") from None
+
+
+# --- one limit at a time ------------------------------------------------------
 
 def confinement_rate(body: ClockBody, consts: ConstantsSet) -> float:
     """chi = l_C/(4 l_p t_p) - m_rest c^2/hbar, guarding admissibility."""
-    if not body.l_C / 2.0 > 2.0 * consts.G * body.m_rest / consts.c**2:
-        raise SchwarzschildViolation(
-            "clock half-diameter does not exceed twice G m_rest/c^2; "
-            "the confinement bound would be negative")
-    scale = derive_planck_scale(consts)
-    chi = body.l_C / (4.0 * scale.l_p * scale.t_p) - body.m_rest * consts.c**2 / consts.hbar
+    if not _admissible(consts, body.l_C, body.m_rest):
+        raise SchwarzschildViolation(_INSIDE)
+    chi = _chi(consts, body.l_C, body.m_rest)
     if not chi > 0.0:
         raise SchwarzschildViolation("confinement rate is not positive")
     return chi
@@ -82,10 +163,8 @@ def discretization_bound(body: ClockBody, consts: ConstantsSet,
     """Minimum dial spacing for the equally-spaced clock, z+1 time states."""
     if p < 1:
         raise InvalidArgument(f"p must be >= 1, got {p}")
-    if z < p:
-        raise InvalidArgument(f"need z >= p, got z={z}, p={p}")
-    chi = confinement_rate(body, consts)
-    return 2.0 * math.pi / chi * (p + 1) / (z + 1)
+    zp1 = _dial_states(z, p)
+    return _discretization(confinement_rate(body, consts), p + 1, zp1)
 
 
 def discretization_bound_generic(body: ClockBody, consts: ConstantsSet,
@@ -93,10 +172,8 @@ def discretization_bound_generic(body: ClockBody, consts: ConstantsSet,
     """Minimum dial spacing for a generic rational spectrum with largest r_p."""
     if r_p < 1:
         raise InvalidArgument(f"r_p must be >= 1, got {r_p}")
-    if not z + 1 > r_p:
-        raise InvalidArgument(f"completeness requires z+1 > r_p, got z+1={z + 1}, r_p={r_p}")
-    chi = confinement_rate(body, consts)
-    return 2.0 * math.pi / chi * r_p / (z + 1)
+    zp1 = _dial_states(z, None, r_p)
+    return _discretization(confinement_rate(body, consts), r_p, zp1)
 
 
 def continuum_condition(body: ClockBody, consts: ConstantsSet,
@@ -171,7 +248,7 @@ def spreading_bound(m: float, theta: float, consts: ConstantsSet) -> SpreadingBo
         raise InvalidArgument(f"mass must be positive, got {m!r}")
     if not (theta > 0 and math.isfinite(theta)):
         raise InvalidArgument(f"operational time must be positive, got {theta!r}")
-    dx = math.sqrt(consts.hbar * theta / (2.0 * m))
+    dx = float(_spread(consts, m, theta))
     return SpreadingBound(delta_x_opt=dx, dt=dx / consts.c)
 
 
@@ -179,7 +256,7 @@ def gravitational_mass_limit(theta: float, consts: ConstantsSet) -> float:
     """m < (c^4 hbar Theta / (32 G^2))^(1/3): spread must clear 2x the Schwarzschild radius."""
     if not (theta > 0 and math.isfinite(theta)):
         raise InvalidArgument(f"operational time must be positive, got {theta!r}")
-    return (consts.c**4 * consts.hbar * theta / (32.0 * consts.G**2)) ** (1.0 / 3.0)
+    return _mass_limit(consts, theta)
 
 
 class MassRegime(enum.Enum):
@@ -249,10 +326,7 @@ def fundamental_resolution(theta: float, consts: ConstantsSet) -> float:
     """
     if not (theta > 0 and math.isfinite(theta)):
         raise InvalidArgument(f"operational time must be positive, got {theta!r}")
-    t_p = derive_planck_scale(consts).t_p
-    if theta >= 4.0 * t_p:
-        return 2.0 ** (1.0 / 3.0) * theta ** (1.0 / 3.0) * t_p ** (2.0 / 3.0)
-    return optimize_mass(theta, consts, include_compton=True).dt_min
+    return float(_fundamental(consts, np.array([float(theta)]))[0])
 
 
 class BindingBound(enum.Enum):
@@ -281,40 +355,109 @@ class BoundReport:
 
 def bound_report(body: ClockBody, consts: ConstantsSet, spec: ClockSpectrum,
                  z: int, theta: float | None = None) -> BoundReport:
-    """Evaluate every limit and tag the largest lower bound on dt as binding."""
-    theta = spec.T if theta is None else float(theta)
-    if not 0.0 < theta <= spec.T:
-        raise InvalidArgument(
-            f"operational time must lie in (0, T] = (0, {spec.T!r}], got {theta!r}")
-    if spec.kind is SpectrumKind.EQUALLY_SPACED:
-        delta_tau = discretization_bound(body, consts, spec.p, z)
-    else:
-        delta_tau = discretization_bound_generic(body, consts, spec.r[-1], z)
-    structural = structural_bound(spec.T, spec.p)
-    speed = speed_limit_bound(spec)
-    spreading = spreading_bound(body.m, theta, consts)
-    fundamental = fundamental_resolution(theta, consts)
-    lower_bounds = {
-        BindingBound.STRUCTURAL: structural,
-        BindingBound.SPEED_LIMIT: speed,
-        BindingBound.SPREADING: spreading.dt,
-        BindingBound.FUNDAMENTAL: fundamental,
-    }
-    binding = max(lower_bounds, key=lower_bounds.get)
-    report = BoundReport(
-        delta_tau_min=delta_tau,
-        structural_dt=structural,
-        speed_limit_dt=speed,
-        spreading_dt=spreading.dt,
-        mass_limit=gravitational_mass_limit(theta, consts),
-        fundamental_dt=fundamental,
-        binding=binding,
-        theta=theta,
-        delta_x_opt=spreading.delta_x_opt,
-        m=body.m,
-        m_rest=body.m_rest,
-    )
-    for name, value in vars(report).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise QClockError(f"bound {name} = {value!r} is not finite")
-    return report
+    """Evaluate every limit and tag the largest lower bound on dt as binding:
+    the one-row case of _bound_columns."""
+    faults = []
+    try:
+        speed = speed_limit_bound(spec)
+    except QClockError as exc:
+        speed, faults = math.nan, [(0, _SPEED, exc)]
+    generic = spec.kind is not SpectrumKind.EQUALLY_SPACED
+    columns = _bound_columns(consts, body.l_C, body.m_rest, body.m,
+                             spec.T if theta is None else float(theta), spec.T, spec.p,
+                             spec.r[-1] if generic else None, z, speed, faults=faults)
+    row = {name: column[0].item() for name, column in columns.items()}
+    row["binding"] = _BINDINGS[row["binding"]]
+    return BoundReport(**row, m=body.m, m_rest=body.m_rest)
+
+
+# --- every limit over columns -------------------------------------------------
+
+# the checks one row meets, in the order one-value evaluation meets them
+_SPECTRUM, _BODY, _THETA, _DIAL, _CONFINEMENT, _SPEED, _SPREADING, _FINITE = range(8)
+# the bounds that compete to bind; a tie goes to the first
+_BINDINGS = tuple(BindingBound)
+
+
+def _bound_columns(consts: ConstantsSet, l_C, m_rest, m, theta, T, p: int,
+                   r_p: int | None, z, speed, *, faults=(), label=None) -> dict:
+    """Every limit over columns of clock configurations, and which one binds.
+
+    l_C, m_rest, m, theta, T and speed (the speed-limit bound of the row's
+    spectrum) are each a float or a 1-d array with one entry per row.  p, z
+    and r_p, the spectrum's largest r_n or None when it is equally spaced, are
+    shared by every row.  faults lists (row, stage, error) for the checks the
+    caller ran itself: a row's spectrum (_SPECTRUM) and its speed limit
+    (_SPEED).
+
+    Returns the BoundReport fields but m and m_rest, each an array with one
+    entry per row; binding holds indices into BindingBound, in its order.  A
+    refusal is raised for the first row at fault, and for the first of its
+    checks that fails; label(row, message) gives its message when label is
+    given.
+    """
+    given = {"l_C": l_C, "m_rest": m_rest, "m": m, "theta": theta, "T": T}
+    l_C, m_rest, m, theta, T, speed = (np.asarray(x, dtype=float).reshape(-1)
+                                       for x in (l_C, m_rest, m, theta, T, speed))
+    body = {"l_C": l_C, "m_rest": m_rest, "m": m}
+    n = max(x.size for x in (l_C, m_rest, m, theta, T, speed))
+    found = [(row, stage, seq, type(exc), str(exc))
+             for seq, (row, stage, exc) in enumerate(faults)]
+
+    def check(stage, ok, error, message):
+        """Note the first row where ok is False; message(row) says what is wrong.
+        An ok of one entry, from inputs shared by every row, is first at row 0."""
+        bad = ~ok
+        row = int(bad.argmax())
+        if bad[row]:
+            found.append((row, stage, len(found), error, message(row)))
+
+    def value(name, row):
+        """A row's input as the caller gave it, for a message."""
+        x = given[name]
+        return x if np.ndim(x) == 0 else x[row].item()
+
+    with np.errstate(all="ignore"):  # rows at fault compute nan and inf, then are refused
+        for name, ok, message in _BODY_CHECKS:
+            check(_BODY, ok(body[name]), InvalidArgument,
+                  lambda i: message.format(value(name, i)))
+        check(_THETA, (0.0 < theta) & (theta <= T), InvalidArgument,
+              lambda i: f"operational time must lie in (0, T] = (0, {value('T', i)!r}], "
+                        f"got {value('theta', i)!r}")
+        try:
+            zp1 = _dial_states(z, p, r_p)
+        except InvalidArgument as exc:
+            zp1 = math.nan
+            check(_DIAL, np.zeros(1, dtype=bool), InvalidArgument, lambda i: str(exc))
+        check(_CONFINEMENT, _admissible(consts, l_C, m_rest), SchwarzschildViolation,
+              lambda i: _INSIDE)
+        chi = _chi(consts, l_C, m_rest)
+        check(_CONFINEMENT, chi > 0.0, SchwarzschildViolation,
+              lambda i: "confinement rate is not positive")
+        check(_SPREADING, (m > 0.0) & np.isfinite(m), InvalidArgument,
+              lambda i: f"mass must be positive, got {value('m', i)!r}")
+        dx = _spread(consts, m, theta)
+        bounds = {
+            "delta_tau_min": _discretization(chi, float(p + 1 if r_p is None else r_p), zp1),
+            "structural_dt": T / float(p + 1),
+            "speed_limit_dt": speed,
+            "spreading_dt": dx / consts.c,
+            "mass_limit": _mass_limit(consts, theta),
+            "fundamental_dt": _fundamental(consts, theta),
+            "delta_x_opt": dx,
+        }
+        # the first of equal bounds binds, as max over them in BindingBound order
+        binding, best = np.zeros(1, dtype=np.int8), bounds["structural_dt"]
+        for k, name in enumerate(("speed_limit_dt", "spreading_dt", "fundamental_dt"), 1):
+            above = bounds[name] > best
+            binding = np.where(above, np.int8(k), binding)
+            best = np.where(above, bounds[name], best)
+        for name, column in bounds.items():  # BoundReport's order
+            check(_FINITE, np.isfinite(column), QClockError,
+                  lambda i: f"bound {name} = {column[i].item()!r} is not finite")
+    if found:
+        row, _, _, error, message = min(found)
+        raise error(label(row, message) if label else message)
+    columns = {**bounds, "theta": theta, "binding": binding}
+    return {name: column if column.size == n else np.broadcast_to(column, (n,))
+            for name, column in columns.items()}

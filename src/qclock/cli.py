@@ -51,13 +51,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import ClockBody, bound_report
+from .bounds import (_SPECTRUM, _SPEED, BindingBound, ClockBody, _bound_columns,
+                     bound_report, speed_limit_bound)
 from .clockstates import ClockPOVM, identity_residual, time_state
 from .errors import InvalidArgument, NoEstimate, QClockError
 from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
-from .spectrum import (ClockSpectrum, RationalRatio, _charge, build_equally_spaced,
-                       build_rational, max_integer, rationalized_spectrum,
-                       read_spectrum, write_spectrum)
+from .spectrum import (ClockSpectrum, RationalRatio, SpectrumKind, _charge,
+                       build_equally_spaced, build_rational, max_integer,
+                       rationalized_spectrum, read_spectrum, write_spectrum)
 from .units import resolve_constants
 
 
@@ -232,14 +233,16 @@ def _parse_ratios(text: str) -> list[RationalRatio]:
     return ratios
 
 
-def _spectrum_from_args(args, consts) -> ClockSpectrum:
+def _spectrum_from_args(args, consts, T: float | None = None) -> ClockSpectrum:
+    """The --spectrum file, or the equally spaced clock of --p and --T (or T)."""
     if getattr(args, "spectrum", None):
         return read_spectrum(args.spectrum, consts)
     if getattr(args, "p", None) is None:
         raise InvalidArgument("provide --spectrum FILE or --p for an equally-spaced clock")
-    if args.T is None:
+    T = args.T if T is None else T
+    if T is None:
         raise InvalidArgument("the --p route needs --T")
-    return build_equally_spaced(args.p, args.T, consts)
+    return build_equally_spaced(args.p, T, consts)
 
 
 def _spectrum_summary(spec: ClockSpectrum) -> dict:
@@ -333,18 +336,25 @@ def _write_histogram(record, path: str) -> None:
     Lines end in CRLF, the csv default dialect; no number spelling needs
     quoting.  Only a few distinct counts occur, so the tail of a line, from the
     comma before the count on, is spelled once per count and gathered into the
-    rows that _spell_rows spells.  The dial times are not listed: the JSON
-    record's result.dial states them.
+    rows that _spell_rows spells.  A slice finds its tails in a table indexed
+    by count, made by bincount while it is no longer than the record (shots
+    are not capped, so one bin may hold them all), else by a binary search.
+    The dial times are not listed: the JSON record's result.dial states them.
     """
     counts = record.counts
-    distinct = np.unique(counts)
+    if counts.max() <= counts.size:
+        seen = np.bincount(counts) > 0
+        distinct, where = np.flatnonzero(seen), np.cumsum(seen) - 1
+    else:
+        distinct, where = np.unique(counts), None
     tails = _cells(*(f",{k},{k / record.shots!r}\r\n" for k in distinct.tolist()))
     with open(path, "wb") as fh:
         fh.write(b"m,count,frequency\r\n")
         for start in range(0, counts.size, _SLICE):
             stop = min(start + _SLICE, counts.size)
-            tail = np.take(tails, np.searchsorted(distinct, counts[start:stop]), axis=0)
-            fh.write(_spell_rows(np.arange(start, stop), after=tail))
+            part = counts[start:stop]
+            index = np.searchsorted(distinct, part) if where is None else where[part]
+            fh.write(_spell_rows(np.arange(start, stop), after=np.take(tails, index, axis=0)))
 
 
 def cmd_measure(args) -> int:
@@ -381,21 +391,25 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _report_from_args(args, consts, spec: ClockSpectrum):
-    z = args.z if args.z is not None else max_integer(spec)
-    body = ClockBody(l_C=args.lc, m_rest=args.mrest, m=args.mass)
-    return z, bound_report(body, consts, spec, z, args.theta)
-
-
 def cmd_bounds(args) -> int:
     consts = _constants_for(args)
-    z, report = _report_from_args(args, consts, _spectrum_from_args(args, consts))
+    spec = _spectrum_from_args(args, consts)
+    z = args.z if args.z is not None else max_integer(spec)
+    body = ClockBody(l_C=args.lc, m_rest=args.mrest, m=args.mass)
+    report = bound_report(body, consts, spec, z, args.theta)
     config = {"command": "bounds", "lc": args.lc, "mrest": args.mrest,
               "mass": args.mass, "p": args.p, "T": args.T,
               "spectrum": args.spectrum, "z": z, "theta": report.theta}
     result = {**dataclasses.asdict(report), "binding": report.binding.value}
     _emit(_document(args, config, result), args.out)
     return 0
+
+
+# rows of the sweep CSV spelled at a time, as Python floats about 250 B a row
+_SWEEP_ROWS = 64
+# the sweep CSV's columns between the swept value and the binding bound
+_SWEEP_BOUNDS = ("delta_tau_min", "structural_dt", "speed_limit_dt", "spreading_dt",
+                 "fundamental_dt", "mass_limit")
 
 
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
@@ -415,34 +429,68 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     return param, lo, hi, steps
 
 
+def _speed_limits(args, consts, grid: np.ndarray, label) -> tuple[np.ndarray, list]:
+    """The speed-limit bound of each step of a T sweep, one spectrum at a time,
+    and the fault of the first step whose spectrum or speed limit is refused."""
+    speed = np.full(grid.size, math.nan)
+    for i, T in enumerate(map(float, grid)):
+        try:
+            spec = _spectrum_from_args(args, consts, T)
+        except QClockError as exc:
+            if i == 0:  # the first check of the first step, and p may be unusable
+                raise type(exc)(label(0, str(exc))) from None
+            return speed, [(i, _SPECTRUM, exc)]
+        try:
+            speed[i] = speed_limit_bound(spec)
+        except QClockError as exc:
+            return speed, [(i, _SPEED, exc)]
+    return speed, []
+
+
 def cmd_sweep(args) -> int:
     consts = _constants_for(args)
     param, lo, hi, steps = _parse_sweep(args.sweep)
     if param == "T" and args.spectrum:
         raise InvalidArgument("sweeping T requires the --p route, not --spectrum")
-    # per step, held until the CSV is written: the swept value and six bounds
-    # as float64 and a reference to the binding's name, 64 B.  tracemalloc reads
-    # 104 B per step at 4000 steps, with about 150 kB that do not grow with
-    # the steps, most of it the CSV file's write buffer
+    # per step, held until the CSV is written: the swept value, at most six
+    # float64 columns of bounds and delta_x_opt (a T sweep holds the most) and
+    # the binding as int8, 57 B.  tracemalloc reads 101 B per step at 4000
+    # steps of a T sweep and 85 B of a theta sweep, with about 180 kB that do
+    # not grow with the steps, most of it the CSV file's write buffer
     _charge(112 * steps, f"a sweep of {steps} steps")
-    # only a T sweep changes the spectrum from step to step
-    fixed = None if param == "T" else _spectrum_from_args(args, consts)
     grid = np.linspace(lo, hi, steps)
-    bounds, binding = np.empty((steps, 6)), [None] * steps
-    for i, value in enumerate(grid):
-        step = argparse.Namespace(**{**vars(args), param: float(value)})
-        spec = fixed if fixed is not None else _spectrum_from_args(step, consts)
-        r = _report_from_args(step, consts, spec)[1]
-        bounds[i] = (r.delta_tau_min, r.structural_dt, r.speed_limit_dt,
-                     r.spreading_dt, r.fundamental_dt, r.mass_limit)
-        binding[i] = r.binding.value
+    given = {"lc": args.lc, "mrest": args.mrest, "mass": args.mass,
+             "theta": args.theta, "T": args.T, param: grid}
+
+    def label(i, message):
+        return f"sweep step {i + 1} of {steps} ({param} = {grid[i].item()!r}): {message}"
+
+    # only a T sweep changes the spectrum from step to step, and its speed limit
+    if param == "T":
+        p, r_p = args.p, None
+        speed, faults = _speed_limits(args, consts, grid, label)
+    else:
+        spec = _spectrum_from_args(args, consts)
+        p, r_p = spec.p, None if spec.kind is SpectrumKind.EQUALLY_SPACED else max_integer(spec)
+        try:
+            speed, faults = speed_limit_bound(spec), []
+        except QClockError as exc:
+            speed, faults = math.nan, [(0, _SPEED, exc)]
+        given["T"] = spec.T
+    z = args.z if args.z is not None else (p if r_p is None else r_p)
+    mass = given["mass"] if given["mass"] is not None else given["mrest"]
+    theta = given["theta"] if given["theta"] is not None else given["T"]
+    columns = _bound_columns(consts, given["lc"], given["mrest"], mass, theta, given["T"],
+                             p, r_p, z, speed, faults=faults, label=label)
+    table = [grid, *(columns[name] for name in _SWEEP_BOUNDS)]
+    names = [binding.value for binding in BindingBound]
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([param, "delta_tau_min", "structural_dt", "speed_limit_dt",
-                         "spreading_dt", "fundamental_dt", "mass_limit", "binding"])
-        # a row at a time: a slice of rows as Python floats is 250 B per step
-        writer.writerows([float(grid[i]), *bounds[i].tolist(), binding[i]]
-                         for i in range(steps))
+        writer.writerow([param, *_SWEEP_BOUNDS, "binding"])
+        for start in range(0, steps, _SWEEP_ROWS):
+            part = slice(start, start + _SWEEP_ROWS)
+            writer.writerows(zip(*(column[part].tolist() for column in table),
+                                 [names[k] for k in columns["binding"][part].tolist()]))
     config = {"command": "sweep", "sweep": args.sweep, "lc": args.lc,
               "mrest": args.mrest, "mass": args.mass, "p": args.p, "T": args.T,
               "spectrum": args.spectrum, "z": args.z, "theta": args.theta,

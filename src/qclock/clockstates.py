@@ -215,7 +215,11 @@ class ClockPOVM:
     def __post_init__(self):
         if not isinstance(self.z, (int, np.integer)) or self.z < self.spectrum.p:
             raise InvalidArgument(f"need z >= p = {self.spectrum.p}, got {self.z!r}")
-        if not math.isfinite(self.tau_0):
+        try:
+            finite = math.isfinite(self.tau_0)
+        except OverflowError:  # an int or a Fraction past the float range
+            raise InvalidArgument("dial offset tau_0 is past the float64 range") from None
+        if not finite:
             raise InvalidArgument(f"dial offset tau_0 must be finite, got {self.tau_0!r}")
         object.__setattr__(self, "z", int(self.z))
 

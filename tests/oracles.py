@@ -207,3 +207,46 @@ def measure_csv_v1_text(doc, csv_text: str) -> str:
     writer.writerows((int(m), tau, int(count), frequency)
                      for (m, count, frequency), tau in zip(rows[1:], taus))
     return out.getvalue()
+
+
+def bounds_naive(hbar, c, G, l_C, m_rest, m, theta, T, p, count, z, levels):
+    """(delta_tau_min, structural, speed limit, spreading, fundamental, mass limit,
+    binding) of one clock, in Python floats and the paper's formulas; count is
+    p+1 for an equally spaced spectrum and r_p for a generic one."""
+    l_p, t_p = math.sqrt(hbar * G / c**3), math.sqrt(hbar * G / c**5)
+    chi = l_C / (4.0 * l_p * t_p) - m_rest * c**2 / hbar
+    levels = np.asarray(levels)
+    speed = max(math.pi * hbar / (2.0 * float(levels.mean())),
+                math.pi * hbar / (2.0 * float(levels.std())))
+    spreading = math.sqrt(hbar * theta / (2.0 * m)) / c
+    mass_limit = (c**4 * hbar * theta / (32.0 * G**2)) ** (1.0 / 3.0)
+    if theta >= 4.0 * t_p:
+        fundamental = 2.0 ** (1.0 / 3.0) * theta ** (1.0 / 3.0) * t_p ** (2.0 / 3.0)
+    else:  # the kink of max(spreading, Compton, gravity) over the mass
+        def curves(mass):
+            return (math.sqrt(hbar * theta / (2.0 * mass)) / c, hbar / (mass * c**2),
+                    4.0 * G * mass / c**3)
+        m_cg = math.sqrt(hbar * c / (4.0 * G))
+        spread_cg, compton_cg, _ = curves(m_cg)
+        fundamental = max(curves(m_cg if compton_cg >= spread_cg else mass_limit))
+    lower = {"structural": T / (p + 1), "speed_limit": speed, "spreading": spreading,
+             "fundamental": fundamental}
+    return (2.0 * math.pi / chi * count / (z + 1), lower["structural"], speed, spreading,
+            fundamental, mass_limit, max(lower, key=lower.get))
+
+
+SWEEP_HEADER = ["delta_tau_min", "structural_dt", "speed_limit_dt", "spreading_dt",
+                "fundamental_dt", "mass_limit", "binding"]
+
+
+def sweep_csv_rows(param, lo, hi, steps, report) -> str:
+    """The sweep CSV of a loop over the steps: report(value) is the BoundReport
+    of the step whose swept parameter is value, and csv.writer spells each row."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([param, *SWEEP_HEADER])
+    for value in np.linspace(lo, hi, steps).tolist():
+        r = report(value)
+        writer.writerow([value, r.delta_tau_min, r.structural_dt, r.speed_limit_dt,
+                         r.spreading_dt, r.fundamental_dt, r.mass_limit, r.binding.value])
+    return out.getvalue()

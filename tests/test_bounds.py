@@ -74,6 +74,27 @@ def test_discretization_generic_z_guard(nat):
         discretization_bound_generic(body, nat, 21, 20)  # z+1 = 21 = r_p
 
 
+# z that is no dial: every bound refuses it, on either formula
+BAD_Z = {"float": (3.2, "z must be an integer"), "whole-float": (4.0, "z must be an integer"),
+         "past-float": (10**400, "past the float64 range")}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_Z))
+def test_every_bound_refuses_a_z_that_is_no_dial(nat, bad):
+    z, message = BAD_Z[bad]
+    body = ClockBody(l_C=8.0, m_rest=0.5, m=0.5)
+    equal = build_equally_spaced(3, 100.0, nat)
+    rational = build_rational([RationalRatio(5, 3), RationalRatio(7, 2)], 1.0, nat)
+    calls = [lambda: discretization_bound(body, nat, 3, z),
+             lambda: discretization_bound_generic(body, nat, 21, z),
+             lambda: bound_report(body, nat, equal, z),
+             lambda: bound_report(body, nat, rational, z)]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=message):
+            call()
+    assert bound_report(body, nat, equal, np.int64(3)) == bound_report(body, nat, equal, 3)
+
+
 def test_reduction_identity_50_points(nat, rng):
     # generic formula at r_p = p equals the equally-spaced one times p/(p+1)
     for _ in range(50):

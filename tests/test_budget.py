@@ -173,9 +173,9 @@ def test_the_exact_residual_is_never_charged(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["residual"] == 0.0
 
 
-def _sweep_argv(tmp_path, steps):
+def _sweep_argv(tmp_path, steps, param="theta"):
     return ["sweep", "--lc", "8", "--mass", "0.5", "--p", "4", "--T", "100",
-            "--units", "natural", "--sweep", f"theta:10:100:{steps}",
+            "--units", "natural", "--sweep", f"{param}:10:100:{steps}",
             "--out-csv", str(tmp_path / "s.csv")]
 
 
@@ -219,9 +219,11 @@ def test_a_spectrum_without_a_size_is_read_no_further_than_the_budget(monkeypatc
 
 def test_a_sweep_peaks_within_its_charge(tmp_path, capsys):
     # a sweep the budget admits runs for minutes under tracemalloc, so the
-    # charge per step is checked on a shorter one
-    argv = _sweep_argv(tmp_path, 4000)
-    assert cli.main(argv) == 0
-    outcome, peak = _traced(lambda _: cli.main(argv), 4000)
-    assert outcome == 0
-    assert peak <= 112 * 4000
+    # charge per step is checked on a shorter one.  A T sweep holds the most
+    # columns: its speed limits and structural bounds change with the step
+    for param in ("theta", "T"):
+        argv = _sweep_argv(tmp_path, 4000, param)
+        assert cli.main(argv) == 0
+        outcome, peak = _traced(lambda _: cli.main(argv), 4000)
+        assert outcome == 0
+        assert peak <= INPUT_CHARGES["sweep"][0] * 4000

@@ -21,7 +21,8 @@ from qclock import (ClockPOVM, QClockError, cli, codata2018, natural_units,
                     read_spectrum)
 from qclock.cli import _write, main
 
-from oracles import dial_grid, measure_csv_v1_text, measure_v1_text
+from oracles import (bounds_naive, dial_grid, measure_csv_v1_text, measure_v1_text,
+                     sweep_csv_rows)
 
 
 def dumps(document):
@@ -532,6 +533,107 @@ def test_sweep_over_T_rebuilds_the_spectrum(tmp_path, capsys):
     assert [float(row[2]) for row in rows] == pytest.approx([20.0, 30.0, 40.0], rel=1e-15)
 
 
+# sweeps of every parameter on every spectrum route: (units, spectrum route,
+# body, --sweep).  theta below 4 t_p takes the mass optimizer's floor, and
+# without --mass the inertial mass follows m_rest
+SWEEPS = {
+    "lc": ("natural", "p", {"lc": 8.0, "mrest": 0.3}, "lc:1.3:100:40"),
+    "mrest": ("natural", "p", {"lc": 8.0, "mrest": 0.3}, "mrest:0.1:1.9:40"),
+    "mass": ("natural", "p", {"lc": 8.0, "mrest": 0.3, "mass": 0.5}, "mass:0.1:1:40"),
+    "theta": ("natural", "p", {"lc": 8.0, "mass": 0.5}, "theta:0.01:100:60"),
+    "T": ("natural", "p", {"lc": 8.0, "mass": 0.5}, "T:10:1000:30"),
+    "T-theta": ("natural", "p", {"lc": 8.0, "mass": 0.5, "theta": 7.5}, "T:10:1000:30"),
+    "lc-rational": ("natural", "rational", {"lc": 8.0, "mrest": 0.3}, "lc:1.3:100:40"),
+    "mrest-rational": ("natural", "rational", {"lc": 8.0, "mass": 0.5}, "mrest:0:1.9:40"),
+    "theta-rational": ("natural", "rational", {"lc": 8.0, "mass": 0.5}, "theta:0.01:100:60"),
+    "mass-rationalized": ("natural", "rationalized", {"lc": 8.0, "mass": 0.5}, "mass:0.1:1:40"),
+    "theta-rationalized": ("natural", "rationalized", {"lc": 8.0, "mass": 0.5},
+                           "theta:0.01:100:60"),
+    "mass-si": ("si", "rationalized", {"lc": 0.02, "mrest": 0.05}, "mass:0.1:1:100"),
+    "theta-si": ("si", "rationalized", {"lc": 0.02, "mrest": 0.05}, "theta:1e-45:1e-42:30"),
+    "mrest-si": ("si", "p", {"lc": 0.02, "mass": 1e-8}, "mrest:0:1e20:30"),
+    "T-si": ("si", "p", {"lc": 0.02, "mass": 1e-8}, "T:1e-44:1e-3:30"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_writes_what_bound_report_gives_row_by_row(tmp_path, capsys, case):
+    units, route, body, sweep = SWEEPS[case]
+    consts = natural_units() if units == "natural" else codata2018()
+    e1 = 1e-3 if units == "natural" else 1e-30
+    spectra = {
+        "p": (["--p", "4", "--T", "100" if units == "natural" else "1e-3"], None),
+        "rational": (None, ["--kind", "rational", "--ratios", "5/3,7/2", "--e1", repr(e1)]),
+        "rationalized": (None, ["--kind", "rationalized", "--epsilon", "1e-2", "--levels",
+                                ",".join(repr(e1 * math.sqrt(n)) for n in range(6))]),
+    }
+    flags, build_argv = spectra[route]
+    if build_argv:
+        path = str(tmp_path / "s.spec")
+        assert run_cli(capsys, "build", *build_argv, "--units", units,
+                       "--spectrum-out", path)[0] == 0
+        flags = ["--spectrum", path]
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", *flags, "--units", units, "--sweep", sweep,
+                         "--out-csv", str(csv_path),
+                         *(f for key, value in body.items() for f in (f"--{key}", repr(value))))
+    assert code == 0
+    param, lo, hi, steps = sweep.split(":")
+
+    def report(value):
+        given = {**body, param: value}
+        spec = (qclock.read_spectrum(flags[1], consts) if build_argv
+                else qclock.build_equally_spaced(4, given.get("T", float(flags[3])), consts))
+        clock = qclock.ClockBody(l_C=given["lc"], m_rest=given.get("mrest", 0.0),
+                                 m=given.get("mass"))
+        r = qclock.bound_report(clock, consts, spec, spec.r[-1], given.get("theta"))
+        # the bits of the formulas in Python floats, not only of bound_report
+        count = spec.p + 1 if route == "p" else spec.r[-1]
+        assert (r.delta_tau_min, r.structural_dt, r.speed_limit_dt, r.spreading_dt,
+                r.fundamental_dt, r.mass_limit, r.binding.value) == bounds_naive(
+            consts.hbar, consts.c, consts.G, clock.l_C, clock.m_rest, clock.m, r.theta,
+            spec.T, spec.p, count, spec.r[-1], spec.levels)
+        return r
+
+    expected = sweep_csv_rows(param, float(lo), float(hi), int(steps), report)
+    assert csv_path.read_bytes() == expected.encode()
+
+
+def test_a_sweep_refused_partway_names_the_step_and_writes_nothing(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--lc", "8", "--mass", "0.5", "--p", "4",
+                             "--T", "100", "--units", "natural", "--sweep", "mrest:0:4:5",
+                             "--out-csv", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert not csv_path.exists()
+    error = json.loads(err)
+    assert error["error"] == "schwarzschild-violation"
+    # l_C/2 > 2 G m_rest/c^2 first fails at m_rest = 2, the third of 0, 1, 2, 3, 4
+    assert error["message"] == (
+        "sweep step 3 of 5 (mrest = 2.0): clock half-diameter does not exceed twice "
+        "G m_rest/c^2; the confinement bound would be negative")
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+@pytest.mark.parametrize("route", ["p", "rational"])
+def test_a_z_past_the_float_range_is_refused(tmp_path, capsys, command, route):
+    flags = ["--p", "4", "--T", "100"]
+    if route == "rational":
+        flags = ["--spectrum", build_file(tmp_path, capsys, "rat.spec", "--kind", "rational",
+                                          "--ratios", "5/3,7/2", "--e1", "1.0")]
+    if command == "sweep":
+        flags += ["--sweep", "mass:0.1:1:5", "--out-csv", str(tmp_path / "s.csv")]
+    code, out, err = run_cli(capsys, command, "--lc", "8", "--mass", "0.5", *flags,
+                             "--units", "natural", "--z", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "invalid-argument"
+    assert "past the float64 range" in error["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_measure_with_overflowing_dial_phases_writes_nothing(tmp_path, capsys):
     spec = build_file(tmp_path, capsys, "irr.spec", "--kind", "rationalized",
@@ -698,9 +800,21 @@ def test_histogram_spells_what_csv_writer_spells(tmp_path, data, n):
     # dial's times, of any sign and size, are not written
     T = data.draw(st.floats(1e-300, 1e300))
     tau0 = data.draw(st.floats(-1e300, 1e300))
-    povm = ClockPOVM(qclock.build_equally_spaced(1, T), n - 1, tau0)
     counts = data.draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 1, 3])
                               | st.integers(0, 2**40)))
+    check_histogram(tmp_path, counts, ClockPOVM(qclock.build_equally_spaced(1, T), n - 1, tau0))
+
+
+# tails found in a table indexed by count, and, past the record's length, by search
+@pytest.mark.parametrize("counts", [[0, 3, 1, 0, 5, 1], [0, 0, 10**12, 0, 1, 0]],
+                         ids=["table", "search"])
+def test_histogram_tails_by_table_and_by_search(tmp_path, counts):
+    check_histogram(tmp_path, np.array(counts), ClockPOVM(qclock.build_equally_spaced(1, 1.0), 5))
+
+
+def check_histogram(tmp_path, counts, povm):
+    """_write_histogram of counts, topped up so their sum is the shots, is the
+    text csv.writer writes."""
     shots = max(int(counts.sum()), 1)
     counts[0] += shots - counts.sum()
     record = qclock.MeasurementRecord(seed=0, shots=shots, counts=counts, povm=povm)

@@ -312,6 +312,7 @@ BAD_DIALS = {
     "z-below-p": (2, 0.0, "need z >= p"),
     "tau0-nan": (3, math.nan, "tau_0 must be finite"),
     "tau0-inf": (3, math.inf, "tau_0 must be finite"),
+    "tau0-past-float": (3, 10**400, "tau_0 is past the float64 range"),
 }
 
 
