@@ -28,13 +28,16 @@ their pointwise maximum; for Theta > 4 t_p the Compton curve never binds.
 Every limit is a closed form in (l_C, m_rest, m, Theta, T, p, r_p, z) and the
 speed limit of the spectrum, so one private kernel, _bound_columns, evaluates
 them all over numpy columns: bound_report is its one-row case, and the CLI
-sweep calls it once for all of its steps.  The columns give the bits of the
-one-value formulas: +, -, *, / and sqrt round correctly in numpy as in Python
+sweep calls it once for all of its steps.  The kernel owns every stage of a
+row, the spectrum and its speed limit included, and the defaults m <- m_rest,
+Theta <- T and z <- r_p.  The columns give the bits of the one-value
+formulas: +, -, *, / and sqrt round correctly in numpy as in Python
 when the operations come in the same order, and the powers of a swept value
 (the cube roots in the mass limit and the fundamental floor) are taken with
 Python's ** one element at a time, since numpy's power differs from it in the
 last bit.  A refusal names the first row at fault and, in that row, the first
-check that fails, in the order one-value evaluation would meet them.
+check that fails, in the order one-value evaluation would meet them; each
+check is spelled once, for a number and a column alike.
 """
 
 from __future__ import annotations
@@ -46,20 +49,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateClock, InvalidArgument, QClockError,
-                     SchwarzschildViolation)
+                     SchwarzschildViolation, spell)
 from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
 
 
-# ClockBody's checks, on a number or a column: (field, test, message)
-_BODY_CHECKS = (
-    ("l_C", lambda x: (x > 0.0) & (abs(x) < math.inf),
-     "clock diameter must be positive, got {!r}"),
-    ("m_rest", lambda x: (x >= 0.0) & (abs(x) < math.inf), "rest mass must be >= 0, got {!r}"),
-    ("m", lambda x: np.logical_not(x < 0.0), "inertial mass must be >= 0, got {!r}"),
+# --- the checks, each spelled once ---------------------------------------------
+
+def _positive(x):  # an int past the float range compares exactly, and is finite
+    return (x > 0.0) & (abs(x) < math.inf)
+
+
+# a check of a number or a column: (test, error, message spelling the value at fault)
+_PERIOD = (_positive, InvalidArgument, "period must be positive, got {!r}")
+_OPERATIONAL_TIME = (_positive, InvalidArgument, "operational time must be positive, got {!r}")
+_MASS = (_positive, InvalidArgument, "mass must be positive, got {!r}")
+_BODY_CHECKS = (  # of l_C, m_rest and m
+    (_positive, InvalidArgument, "clock diameter must be positive, got {!r}"),
+    (lambda x: (x == 0.0) | _positive(x), InvalidArgument, "rest mass must be >= 0, got {!r}"),
+    (lambda x: np.logical_not(x < 0.0), InvalidArgument, "inertial mass must be >= 0, got {!r}"),
 )
-_INSIDE = ("clock half-diameter does not exceed twice G m_rest/c^2; "
-           "the confinement bound would be negative")
+# the confinement checks, of l_C/2 > 2 G m_rest/c^2 and of chi
+_ADMISSIBLE = (lambda ok: ok, SchwarzschildViolation,
+               "clock half-diameter does not exceed twice G m_rest/c^2; "
+               "the confinement bound would be negative")
+_CONFINED = (lambda chi: chi > 0.0, SchwarzschildViolation, "confinement rate is not positive")
+
+
+def _require(check, value) -> None:
+    """A check of one value: raise its error unless the value passes."""
+    test, error, message = check
+    if not test(value):
+        raise error(message.format(value))
 
 
 @dataclass(frozen=True)
@@ -78,10 +99,8 @@ class ClockBody:
     def __post_init__(self):
         if self.m is None:
             object.__setattr__(self, "m", self.m_rest)
-        for name, ok, message in _BODY_CHECKS:
-            value = getattr(self, name)
-            if not ok(value):
-                raise InvalidArgument(message.format(value))
+        for check, value in zip(_BODY_CHECKS, (self.l_C, self.m_rest, self.m)):
+            _require(check, value)
 
 
 # --- the formulas, each on a float or a numpy column --------------------------
@@ -95,14 +114,14 @@ def _pow(base, exponent: float):
                        float, count=base.size)
 
 
-def _admissible(consts: ConstantsSet, l_C, m_rest):
-    """l_C/2 > 2 G m_rest/c^2: the body is wider than its Schwarzschild diameter."""
-    return l_C / 2.0 > 2.0 * consts.G * m_rest / consts.c**2
-
-
-def _chi(consts: ConstantsSet, l_C, m_rest):
+def _confinement(consts: ConstantsSet, l_C, m_rest, require):
+    """chi = l_C/(4 l_p t_p) - m_rest c^2/hbar, after require(check, value) is given
+    the confinement checks: the body is wider than its Schwarzschild diameter, chi > 0."""
+    require(_ADMISSIBLE, l_C / 2.0 > 2.0 * consts.G * m_rest / consts.c**2)
     scale = derive_planck_scale(consts)
-    return l_C / (4.0 * scale.l_p * scale.t_p) - m_rest * consts.c**2 / consts.hbar
+    chi = l_C / (4.0 * scale.l_p * scale.t_p) - m_rest * consts.c**2 / consts.hbar
+    require(_CONFINED, chi)
+    return chi
 
 
 def _discretization(chi, count, zp1: float):
@@ -136,9 +155,10 @@ def _dial_states(z, p, r_p=None) -> float:
     z = int(z)
     if r_p is None:
         if z < p:
-            raise InvalidArgument(f"need z >= p, got z={z}, p={p}")
+            raise InvalidArgument(f"need z >= p, got z={spell(z)}, p={p}")
     elif not z + 1 > r_p:
-        raise InvalidArgument(f"completeness requires z+1 > r_p, got z+1={z + 1}, r_p={r_p}")
+        raise InvalidArgument(f"completeness requires z+1 > r_p, "
+                              f"got z+1={spell(z + 1)}, r_p={r_p}")
     try:
         return float(z + 1)
     except OverflowError:
@@ -150,12 +170,7 @@ def _dial_states(z, p, r_p=None) -> float:
 
 def confinement_rate(body: ClockBody, consts: ConstantsSet) -> float:
     """chi = l_C/(4 l_p t_p) - m_rest c^2/hbar, guarding admissibility."""
-    if not _admissible(consts, body.l_C, body.m_rest):
-        raise SchwarzschildViolation(_INSIDE)
-    chi = _chi(consts, body.l_C, body.m_rest)
-    if not chi > 0.0:
-        raise SchwarzschildViolation("confinement rate is not positive")
-    return chi
+    return _confinement(consts, body.l_C, body.m_rest, _require)
 
 
 def discretization_bound(body: ClockBody, consts: ConstantsSet,
@@ -184,18 +199,15 @@ def continuum_condition(body: ClockBody, consts: ConstantsSet,
     sides of the discretization inequality then scale as 1/(z+1), so the
     spacing never crosses its own bound.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise InvalidArgument(f"period must be positive, got {T!r}")
+    _require(_PERIOD, T)
     if count < 1:
         raise InvalidArgument(f"count must be >= 1, got {count}")
-    chi = confinement_rate(body, consts)
-    return T > 2.0 * math.pi * count / chi
+    return T > 2.0 * math.pi * count / confinement_rate(body, consts)
 
 
 def structural_bound(T: float, p: int) -> float:
     """dt >= T/(p+1): the clock only visits p+1 distinguishable dial states."""
-    if not (T > 0 and math.isfinite(T)):
-        raise InvalidArgument(f"period must be positive, got {T!r}")
+    _require(_PERIOD, T)
     if p < 0:
         raise InvalidArgument(f"p must be >= 0, got {p}")
     return T / (p + 1)
@@ -244,18 +256,15 @@ def spreading_bound(m: float, theta: float, consts: ConstantsSet) -> SpreadingBo
     position uncertainty after an operational time Theta translates into a
     timing uncertainty dt = delta_x/c via the light signals that read it.
     """
-    if not (m > 0 and math.isfinite(m)):
-        raise InvalidArgument(f"mass must be positive, got {m!r}")
-    if not (theta > 0 and math.isfinite(theta)):
-        raise InvalidArgument(f"operational time must be positive, got {theta!r}")
+    _require(_MASS, m)
+    _require(_OPERATIONAL_TIME, theta)
     dx = float(_spread(consts, m, theta))
     return SpreadingBound(delta_x_opt=dx, dt=dx / consts.c)
 
 
 def gravitational_mass_limit(theta: float, consts: ConstantsSet) -> float:
     """m < (c^4 hbar Theta / (32 G^2))^(1/3): spread must clear 2x the Schwarzschild radius."""
-    if not (theta > 0 and math.isfinite(theta)):
-        raise InvalidArgument(f"operational time must be positive, got {theta!r}")
+    _require(_OPERATIONAL_TIME, theta)
     return _mass_limit(consts, theta)
 
 
@@ -286,8 +295,7 @@ def optimize_mass(theta: float, consts: ConstantsSet,
     at the gravitational mass limit, or the Compton/gravity intersection at
     sqrt(hbar c/(4G)), half the Planck mass, once Compton dominates there.
     """
-    if not (theta > 0 and math.isfinite(theta)):
-        raise InvalidArgument(f"operational time must be positive, got {theta!r}")
+    _require(_OPERATIONAL_TIME, theta)
     hbar, c, G = consts.hbar, consts.c, consts.G
 
     def dt_spread(m):
@@ -299,22 +307,16 @@ def optimize_mass(theta: float, consts: ConstantsSet,
     def dt_grav(m):
         return 4.0 * G * m / c**3
 
-    def objective(m):
-        dt = max(dt_spread(m), dt_grav(m))
-        if include_compton:
-            dt = max(dt, dt_compton(m))
-        return dt
-
     m_cg = math.sqrt(hbar * c / (4.0 * G))
     if include_compton and dt_compton(m_cg) >= dt_spread(m_cg):
         m_opt = m_cg
     else:
         m_opt = gravitational_mass_limit(theta, consts)
-    dt_min = objective(m_opt)
-    if include_compton and dt_compton(m_opt) > dt_spread(m_opt):
-        regime = MassRegime.COMPTON_GRAV_FLOOR
-    else:
-        regime = MassRegime.SPREADING_GRAV
+    dt_min = max(dt_spread(m_opt), dt_grav(m_opt))
+    if include_compton:
+        dt_min = max(dt_min, dt_compton(m_opt))
+    compton = include_compton and dt_compton(m_opt) > dt_spread(m_opt)
+    regime = MassRegime.COMPTON_GRAV_FLOOR if compton else MassRegime.SPREADING_GRAV
     return MassOptimum(m_opt=m_opt, dt_min=dt_min, regime=regime)
 
 
@@ -324,8 +326,7 @@ def fundamental_resolution(theta: float, consts: ConstantsSet) -> float:
     Valid for Theta >= 4 t_p; below that the Compton/gravity intersection
     takes over and the mass optimizer's floor (about 2 t_p) is returned.
     """
-    if not (theta > 0 and math.isfinite(theta)):
-        raise InvalidArgument(f"operational time must be positive, got {theta!r}")
+    _require(_OPERATIONAL_TIME, theta)
     return float(_fundamental(consts, np.array([float(theta)]))[0])
 
 
@@ -357,16 +358,8 @@ def bound_report(body: ClockBody, consts: ConstantsSet, spec: ClockSpectrum,
                  z: int, theta: float | None = None) -> BoundReport:
     """Evaluate every limit and tag the largest lower bound on dt as binding:
     the one-row case of _bound_columns."""
-    faults = []
-    try:
-        speed = speed_limit_bound(spec)
-    except QClockError as exc:
-        speed, faults = math.nan, [(0, _SPEED, exc)]
-    generic = spec.kind is not SpectrumKind.EQUALLY_SPACED
-    columns = _bound_columns(consts, body.l_C, body.m_rest, body.m,
-                             spec.T if theta is None else float(theta), spec.T, spec.p,
-                             spec.r[-1] if generic else None, z, speed, faults=faults)
-    row = {name: column[0].item() for name, column in columns.items()}
+    row = {name: column[0].item() for name, column in
+           _bound_columns(consts, spec, body.l_C, body.m_rest, body.m, theta, z).items()}
     row["binding"] = _BINDINGS[row["binding"]]
     return BoundReport(**row, m=body.m, m_rest=body.m_rest)
 
@@ -379,16 +372,18 @@ _SPECTRUM, _BODY, _THETA, _DIAL, _CONFINEMENT, _SPEED, _SPREADING, _FINITE = ran
 _BINDINGS = tuple(BindingBound)
 
 
-def _bound_columns(consts: ConstantsSet, l_C, m_rest, m, theta, T, p: int,
-                   r_p: int | None, z, speed, *, faults=(), label=None) -> dict:
+def _bound_columns(consts: ConstantsSet, spectrum, l_C, m_rest, m=None, theta=None,
+                   z=None, *, label=None) -> dict:
     """Every limit over columns of clock configurations, and which one binds.
 
-    l_C, m_rest, m, theta, T and speed (the speed-limit bound of the row's
-    spectrum) are each a float or a 1-d array with one entry per row.  p, z
-    and r_p, the spectrum's largest r_n or None when it is equally spaced, are
-    shared by every row.  faults lists (row, stage, error) for the checks the
-    caller ran itself: a row's spectrum (_SPECTRUM) and its speed limit
-    (_SPEED).
+    spectrum is the ClockSpectrum every row shares, or a pair (T, build) for
+    rows that differ in their period alone: T a 1-d array of periods and
+    build(T) the spectrum of one, with the same r_n for every T.  The kernel
+    owns the spectrum and speed-limit stages, building one spectrum at a time
+    and reading p and r_p (the largest r_n, None when equally spaced) from it,
+    and the defaults m <- m_rest, theta <- the row's T and z <- the largest
+    r_n.  l_C, m_rest, m and theta are each a float or a 1-d array with one
+    entry per row, and z is shared.
 
     Returns the BoundReport fields but m and m_rest, each an array with one
     entry per row; binding holds indices into BindingBound, in its order.  A
@@ -396,46 +391,64 @@ def _bound_columns(consts: ConstantsSet, l_C, m_rest, m, theta, T, p: int,
     checks that fails; label(row, message) gives its message when label is
     given.
     """
-    given = {"l_C": l_C, "m_rest": m_rest, "m": m, "theta": theta, "T": T}
-    l_C, m_rest, m, theta, T, speed = (np.asarray(x, dtype=float).reshape(-1)
-                                       for x in (l_C, m_rest, m, theta, T, speed))
-    body = {"l_C": l_C, "m_rest": m_rest, "m": m}
-    n = max(x.size for x in (l_C, m_rest, m, theta, T, speed))
-    found = [(row, stage, seq, type(exc), str(exc))
-             for seq, (row, stage, exc) in enumerate(faults)]
+    found = []
 
-    def check(stage, ok, error, message):
+    def note(row, stage, error, message):
+        found.append((row, stage, len(found), error, message))
+
+    def note_first(stage, ok, error, message):
         """Note the first row where ok is False; message(row) says what is wrong.
         An ok of one entry, from inputs shared by every row, is first at row 0."""
         bad = ~ok
         row = int(bad.argmax())
         if bad[row]:
-            found.append((row, stage, len(found), error, message(row)))
+            note(row, stage, error, message(row))
 
-    def value(name, row):
-        """A row's input as the caller gave it, for a message."""
-        x = given[name]
-        return x if np.ndim(x) == 0 else x[row].item()
+    def require(stage, check, x):
+        """A check of one value, on each entry of the column x."""
+        test, error, message = check
+        note_first(stage, test(x), error, lambda i: message.format(x[i].item()))
+
+    def refuse():
+        row, _, _, error, message = min(found)
+        raise error(label(row, message) if label else message)
+
+    if isinstance(spectrum, ClockSpectrum):
+        T, build, spec = spectrum.T, None, spectrum
+    else:
+        T, build = spectrum
+    speed = np.full(np.size(T), math.nan)
+    for row, period in enumerate(np.reshape(T, -1).tolist()):
+        stage = _SPECTRUM
+        try:
+            if build is not None:  # one spectrum held at a time
+                spec = build(period)
+            stage = _SPEED
+            speed[row] = speed_limit_bound(spec)
+        except QClockError as exc:
+            note(row, stage, type(exc), str(exc))
+            if row == 0 and stage == _SPECTRUM:  # no spectrum, so no p
+                refuse()
+            break
+    p, r_p = spec.p, None if spec.kind is SpectrumKind.EQUALLY_SPACED else spec.r[-1]
+    l_C, m_rest, m, theta, T = (np.asarray(x, dtype=float).reshape(-1) for x in
+                                (l_C, m_rest, m_rest if m is None else m,
+                                 T if theta is None else theta, T))
+    n = max(x.size for x in (l_C, m_rest, m, theta, T))
 
     with np.errstate(all="ignore"):  # rows at fault compute nan and inf, then are refused
-        for name, ok, message in _BODY_CHECKS:
-            check(_BODY, ok(body[name]), InvalidArgument,
-                  lambda i: message.format(value(name, i)))
-        check(_THETA, (0.0 < theta) & (theta <= T), InvalidArgument,
-              lambda i: f"operational time must lie in (0, T] = (0, {value('T', i)!r}], "
-                        f"got {value('theta', i)!r}")
+        for check, x in zip(_BODY_CHECKS, (l_C, m_rest, m)):
+            require(_BODY, check, x)
+        note_first(_THETA, (0.0 < theta) & (theta <= T), InvalidArgument,
+                   lambda i: "operational time must lie in (0, T] = (0, {!r}], got {!r}".format(
+                       *(x[i].item() for x in np.broadcast_arrays(T, theta))))
         try:
-            zp1 = _dial_states(z, p, r_p)
+            zp1 = _dial_states(spec.r[-1] if z is None else z, p, r_p)
         except InvalidArgument as exc:
             zp1 = math.nan
-            check(_DIAL, np.zeros(1, dtype=bool), InvalidArgument, lambda i: str(exc))
-        check(_CONFINEMENT, _admissible(consts, l_C, m_rest), SchwarzschildViolation,
-              lambda i: _INSIDE)
-        chi = _chi(consts, l_C, m_rest)
-        check(_CONFINEMENT, chi > 0.0, SchwarzschildViolation,
-              lambda i: "confinement rate is not positive")
-        check(_SPREADING, (m > 0.0) & np.isfinite(m), InvalidArgument,
-              lambda i: f"mass must be positive, got {value('m', i)!r}")
+            note(0, _DIAL, InvalidArgument, str(exc))
+        chi = _confinement(consts, l_C, m_rest, lambda c, x: require(_CONFINEMENT, c, x))
+        require(_SPREADING, _MASS, m)
         dx = _spread(consts, m, theta)
         bounds = {
             "delta_tau_min": _discretization(chi, float(p + 1 if r_p is None else r_p), zp1),
@@ -453,11 +466,10 @@ def _bound_columns(consts: ConstantsSet, l_C, m_rest, m, theta, T, p: int,
             binding = np.where(above, np.int8(k), binding)
             best = np.where(above, bounds[name], best)
         for name, column in bounds.items():  # BoundReport's order
-            check(_FINITE, np.isfinite(column), QClockError,
-                  lambda i: f"bound {name} = {column[i].item()!r} is not finite")
+            note_first(_FINITE, np.isfinite(column), QClockError,
+                       lambda i: f"bound {name} = {column[i].item()!r} is not finite")
     if found:
-        row, _, _, error, message = min(found)
-        raise error(label(row, message) if label else message)
+        refuse()
     columns = {**bounds, "theta": theta, "binding": binding}
     return {name: column if column.size == n else np.broadcast_to(column, (n,))
             for name, column in columns.items()}

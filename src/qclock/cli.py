@@ -51,12 +51,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import (_SPECTRUM, _SPEED, BindingBound, ClockBody, _bound_columns,
-                     bound_report, speed_limit_bound)
+from .bounds import BindingBound, ClockBody, _bound_columns, bound_report
 from .clockstates import ClockPOVM, identity_residual, time_state
 from .errors import InvalidArgument, NoEstimate, QClockError
 from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
-from .spectrum import (ClockSpectrum, RationalRatio, SpectrumKind, _charge,
+from .spectrum import (ClockSpectrum, RationalRatio, _charge,
                        build_equally_spaced, build_rational, max_integer,
                        rationalized_spectrum, read_spectrum, write_spectrum)
 from .units import resolve_constants
@@ -426,25 +425,9 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
         raise InvalidArgument(f"bad sweep range {text!r}") from exc
     if steps < 2 or not hi > lo:
         raise InvalidArgument("sweep needs max > min and steps >= 2")
+    if not math.isfinite(hi - lo):  # np.linspace would warn on an infinite min, max or width
+        raise InvalidArgument(f"sweep needs a finite min, max and max - min, got {text!r}")
     return param, lo, hi, steps
-
-
-def _speed_limits(args, consts, grid: np.ndarray, label) -> tuple[np.ndarray, list]:
-    """The speed-limit bound of each step of a T sweep, one spectrum at a time,
-    and the fault of the first step whose spectrum or speed limit is refused."""
-    speed = np.full(grid.size, math.nan)
-    for i, T in enumerate(map(float, grid)):
-        try:
-            spec = _spectrum_from_args(args, consts, T)
-        except QClockError as exc:
-            if i == 0:  # the first check of the first step, and p may be unusable
-                raise type(exc)(label(0, str(exc))) from None
-            return speed, [(i, _SPECTRUM, exc)]
-        try:
-            speed[i] = speed_limit_bound(spec)
-        except QClockError as exc:
-            return speed, [(i, _SPEED, exc)]
-    return speed, []
 
 
 def cmd_sweep(args) -> int:
@@ -459,29 +442,16 @@ def cmd_sweep(args) -> int:
     # not grow with the steps, most of it the CSV file's write buffer
     _charge(112 * steps, f"a sweep of {steps} steps")
     grid = np.linspace(lo, hi, steps)
-    given = {"lc": args.lc, "mrest": args.mrest, "mass": args.mass,
-             "theta": args.theta, "T": args.T, param: grid}
+    given = {**vars(args), param: grid}
 
     def label(i, message):
         return f"sweep step {i + 1} of {steps} ({param} = {grid[i].item()!r}): {message}"
 
-    # only a T sweep changes the spectrum from step to step, and its speed limit
-    if param == "T":
-        p, r_p = args.p, None
-        speed, faults = _speed_limits(args, consts, grid, label)
-    else:
-        spec = _spectrum_from_args(args, consts)
-        p, r_p = spec.p, None if spec.kind is SpectrumKind.EQUALLY_SPACED else max_integer(spec)
-        try:
-            speed, faults = speed_limit_bound(spec), []
-        except QClockError as exc:
-            speed, faults = math.nan, [(0, _SPEED, exc)]
-        given["T"] = spec.T
-    z = args.z if args.z is not None else (p if r_p is None else r_p)
-    mass = given["mass"] if given["mass"] is not None else given["mrest"]
-    theta = given["theta"] if given["theta"] is not None else given["T"]
-    columns = _bound_columns(consts, given["lc"], given["mrest"], mass, theta, given["T"],
-                             p, r_p, z, speed, faults=faults, label=label)
+    # only a T sweep changes the spectrum from step to step: the kernel builds each
+    spectrum = ((grid, functools.partial(_spectrum_from_args, args, consts)) if param == "T"
+                else _spectrum_from_args(args, consts))
+    columns = _bound_columns(consts, spectrum, given["lc"], given["mrest"], given["mass"],
+                             given["theta"], args.z, label=label)
     table = [grid, *(columns[name] for name in _SWEEP_BOUNDS)]
     names = [binding.value for binding in BindingBound]
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:

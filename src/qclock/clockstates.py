@@ -79,7 +79,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum
+from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum, spell
 from .spectrum import ClockSpectrum, SpectrumKind, _charge
 
 # dial times a measurement works on at a time.  A power of two, so every
@@ -214,7 +214,7 @@ class ClockPOVM:
 
     def __post_init__(self):
         if not isinstance(self.z, (int, np.integer)) or self.z < self.spectrum.p:
-            raise InvalidArgument(f"need z >= p = {self.spectrum.p}, got {self.z!r}")
+            raise InvalidArgument(f"need z >= p = {self.spectrum.p}, got {spell(self.z)}")
         try:
             finite = math.isfinite(self.tau_0)
         except OverflowError:  # an int or a Fraction past the float range

@@ -63,3 +63,11 @@ class DegenerateClock(QClockError):
     """The clock has a single energy level and cannot evolve."""
 
     code = "degenerate-clock"
+
+
+def spell(value) -> str:
+    """repr(value), or the sign and size of an int too long to spell in decimal."""
+    try:
+        return repr(value)
+    except ValueError:  # past the interpreter's limit on the digits of an int
+        return f"<{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits>"

@@ -158,6 +158,9 @@ def build_equally_spaced(p: int, T: float, consts: ConstantsSet | None = None) -
     # per level: levels, copy, diff and mask (25 B), two r tuples (16 B), an int (32 B)
     _charge(73 * (p + 1), f"an equally spaced spectrum of {p + 1} levels")
     step = 2.0 * math.pi * consts.hbar / T
+    if not (step > 0.0 and step * p < math.inf):
+        raise InvalidArgument(f"T = {T!r} puts the levels 2 pi hbar n/T, n = 0..{p}, outside "
+                              f"the positive float64 range (spacing {step!r})")
     levels = step * np.arange(p + 1)
     return ClockSpectrum(levels, tuple(range(p + 1)), float(T), consts.hbar,
                          SpectrumKind.EQUALLY_SPACED)

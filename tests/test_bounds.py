@@ -95,6 +95,19 @@ def test_every_bound_refuses_a_z_that_is_no_dial(nat, bad):
     assert bound_report(body, nat, equal, np.int64(3)) == bound_report(body, nat, equal, 3)
 
 
+def test_a_z_too_long_for_decimal_is_refused(nat):
+    # 10^5000 has more digits than Python spells in decimal; the message gives its size
+    body = ClockBody(l_C=8.0, m=0.5)
+    too_long = "<a negative int of 16610 bits>"
+    with pytest.raises(InvalidArgument) as info:
+        bound_report(body, nat, build_equally_spaced(3, 1.0, nat), -10**5000)
+    assert str(info.value) == f"need z >= p, got z={too_long}, p=3"
+    rational = build_rational([RationalRatio(5, 3), RationalRatio(7, 2)], 1.0, nat)
+    with pytest.raises(InvalidArgument) as info:
+        bound_report(body, nat, rational, -10**5000)
+    assert str(info.value) == f"completeness requires z+1 > r_p, got z+1={too_long}, r_p=21"
+
+
 def test_reduction_identity_50_points(nat, rng):
     # generic formula at r_p = p equals the equally-spaced one times p/(p+1)
     for _ in range(50):
@@ -368,6 +381,92 @@ def test_report_uses_generic_formula_for_rational(nat):
     body = ClockBody(l_C=8.0, m=1.0)
     report = bound_report(body, nat, spec, z=spec.r[-1])
     assert report.delta_tau_min == pytest.approx(21 * math.pi / 22, rel=1e-14)
+
+
+class SingleLevel:
+    """A one-level diagonal, which ClockSpectrum itself refuses to build."""
+    dimension = 1
+    levels = np.array([0.0])
+    hbar = 1.0
+
+
+# every refusal of the one-value functions, each spelled once in bounds.py:
+# (call on the natural and SI constants, error, message)
+BODY = ClockBody(l_C=8.0, m_rest=0.5, m=0.5)
+ONE_VALUE_REFUSALS = {
+    "body-l_C": (lambda nat, si: ClockBody(l_C=0.0), InvalidArgument,
+                 "clock diameter must be positive, got 0.0"),
+    "body-l_C-inf": (lambda nat, si: ClockBody(l_C=math.inf), InvalidArgument,
+                     "clock diameter must be positive, got inf"),
+    "body-m_rest": (lambda nat, si: ClockBody(l_C=1.0, m_rest=-1.0), InvalidArgument,
+                    "rest mass must be >= 0, got -1.0"),
+    "body-m_rest-nan": (lambda nat, si: ClockBody(l_C=1.0, m_rest=math.nan), InvalidArgument,
+                        "rest mass must be >= 0, got nan"),
+    "body-m": (lambda nat, si: ClockBody(l_C=1.0, m=-2.0), InvalidArgument,
+               "inertial mass must be >= 0, got -2.0"),
+    "confinement-inside": (lambda nat, si: confinement_rate(ClockBody(l_C=8.0, m_rest=2.0), nat),
+                           SchwarzschildViolation,
+                           "clock half-diameter does not exceed twice G m_rest/c^2; "
+                           "the confinement bound would be negative"),
+    # l_C/(4 l_p t_p) and m_rest c^2/hbar both overflow, so chi = inf - inf
+    "confinement-chi": (lambda nat, si: confinement_rate(ClockBody(l_C=1e300, m_rest=1e300), si),
+                        SchwarzschildViolation, "confinement rate is not positive"),
+    "floor-inside": (lambda nat, si: speed_limit_gravitational_floor(
+        ClockBody(l_C=8.0, m_rest=2.0), nat), SchwarzschildViolation,
+        "clock half-diameter does not exceed twice G m_rest/c^2; "
+        "the confinement bound would be negative"),
+    "discretization-p": (lambda nat, si: discretization_bound(BODY, nat, 0, 3), InvalidArgument,
+                         "p must be >= 1, got 0"),
+    "discretization-z": (lambda nat, si: discretization_bound(BODY, nat, 3, 2), InvalidArgument,
+                         "need z >= p, got z=2, p=3"),
+    "generic-r_p": (lambda nat, si: discretization_bound_generic(BODY, nat, 0, 3),
+                    InvalidArgument, "r_p must be >= 1, got 0"),
+    "generic-z": (lambda nat, si: discretization_bound_generic(BODY, nat, 21, 20),
+                  InvalidArgument, "completeness requires z+1 > r_p, got z+1=21, r_p=21"),
+    "continuum-T": (lambda nat, si: continuum_condition(BODY, nat, 0.0, 4), InvalidArgument,
+                    "period must be positive, got 0.0"),
+    "continuum-T-inf": (lambda nat, si: continuum_condition(BODY, nat, math.inf, 4),
+                        InvalidArgument, "period must be positive, got inf"),
+    "continuum-count": (lambda nat, si: continuum_condition(BODY, nat, 1.0, 0), InvalidArgument,
+                        "count must be >= 1, got 0"),
+    "structural-T": (lambda nat, si: structural_bound(-1.0, 3), InvalidArgument,
+                     "period must be positive, got -1.0"),
+    "structural-T-nan": (lambda nat, si: structural_bound(math.nan, 3), InvalidArgument,
+                         "period must be positive, got nan"),
+    "structural-p": (lambda nat, si: structural_bound(1.0, -1), InvalidArgument,
+                     "p must be >= 0, got -1"),
+    "speed-one-level": (lambda nat, si: speed_limit_bound(SingleLevel()), DegenerateClock,
+                        "a single-level clock never reaches an orthogonal state"),
+    "speed-overflow": (lambda nat, si: speed_limit_bound(
+        build_rational([RationalRatio(3, 2)], 1e308, nat)), InvalidArgument,
+        "energy moments overflow float64 (top level 1.5e+308)"),
+    "speed-zero-spread": (lambda nat, si: speed_limit_bound(build_equally_spaced(4, 2.5e299, nat)),
+                          DegenerateClock, "zero energy spread"),
+    "spreading-mass": (lambda nat, si: spreading_bound(0.0, 1.0, nat), InvalidArgument,
+                       "mass must be positive, got 0.0"),
+    "spreading-mass-inf": (lambda nat, si: spreading_bound(math.inf, 1.0, nat), InvalidArgument,
+                           "mass must be positive, got inf"),
+    "spreading-theta": (lambda nat, si: spreading_bound(1.0, -1.0, nat), InvalidArgument,
+                        "operational time must be positive, got -1.0"),
+    "mass-limit-theta": (lambda nat, si: gravitational_mass_limit(0.0, nat), InvalidArgument,
+                         "operational time must be positive, got 0.0"),
+    "optimize-theta": (lambda nat, si: optimize_mass(math.nan, nat), InvalidArgument,
+                       "operational time must be positive, got nan"),
+    "fundamental-theta": (lambda nat, si: fundamental_resolution(math.inf, si), InvalidArgument,
+                          "operational time must be positive, got inf"),
+    "report-theta": (lambda nat, si: bound_report(BODY, nat, build_equally_spaced(3, 1.0, nat), 3,
+                                                  2.0), InvalidArgument,
+                     "operational time must lie in (0, T] = (0, 1.0], got 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_VALUE_REFUSALS))
+def test_every_one_value_refusal_keeps_its_message(nat, si, case):
+    call, error, message = ONE_VALUE_REFUSALS[case]
+    with pytest.raises(error) as info:
+        call(nat, si)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_degenerate_clock_guard(nat):

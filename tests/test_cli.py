@@ -615,6 +615,68 @@ def test_a_sweep_refused_partway_names_the_step_and_writes_nothing(tmp_path, cap
         "G m_rest/c^2; the confinement bound would be negative")
 
 
+# refusals at the spectrum and speed-limit stages: (argv, error, message).  S is a
+# rational spectrum whose top level 1.5e308 overflows the energy moments
+NATURAL = ["--mass", "0.5", "--units", "natural"]
+STAGE_FAULTS = {
+    "speed-bounds": (["bounds", "--lc", "8", "--spectrum", "S", *NATURAL], "invalid-argument",
+                     "energy moments overflow float64 (top level 1.5e+308)"),
+    "body-before-speed": (["bounds", "--lc", "-8", "--spectrum", "S", *NATURAL],
+                          "invalid-argument", "clock diameter must be positive, got -8.0"),
+    "speed-sweep": (["sweep", "--lc", "8", "--spectrum", "S", "--sweep", "mass:0.1:1:3",
+                     *NATURAL], "invalid-argument",
+                    "sweep step 1 of 3 (mass = 0.1): energy moments overflow float64 "
+                    "(top level 1.5e+308)"),
+    "speed-T-step": (["sweep", "--lc", "8", "--p", "4", "--sweep", "T:1:1e300:5", *NATURAL],
+                     "degenerate-clock", "sweep step 2 of 5 (T = 2.5e+299): zero energy spread"),
+    "spectrum-no-p": (["sweep", "--lc", "8", "--sweep", "T:1:2:3", *NATURAL], "invalid-argument",
+                      "sweep step 1 of 3 (T = 1.0): provide --spectrum FILE or --p for an "
+                      "equally-spaced clock"),
+    "spectrum-p-0": (["sweep", "--lc", "8", "--p", "0", "--sweep", "T:1:2:3", *NATURAL],
+                     "invalid-argument",
+                     "sweep step 1 of 3 (T = 1.0): p must be an integer >= 1, got 0"),
+    # in SI units the spacing 2 pi hbar/T of the second step underflows to 0
+    "spectrum-T-step": (["sweep", "--lc", "0.01", "--mrest", "0.01", "--p", "4",
+                         "--sweep", "T:1:1e300:5"], "invalid-argument",
+                        "sweep step 2 of 5 (T = 2.5e+299): T = 2.5e+299 puts the levels "
+                        "2 pi hbar n/T, n = 0..4, outside the positive float64 range "
+                        "(spacing 0.0)"),
+    "spectrum-T-inf-spacing": (["bounds", "--lc", "8", "--p", "4", "--T", "1e-320", *NATURAL],
+                               "invalid-argument",
+                               "T = 1e-320 puts the levels 2 pi hbar n/T, n = 0..4, outside "
+                               "the positive float64 range (spacing inf)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_FAULTS))
+def test_spectrum_and_speed_limit_refusals_name_their_row(tmp_path, capsys, case):
+    argv, error, message = STAGE_FAULTS[case]
+    spec = build_file(tmp_path, capsys, "s.spec", "--kind", "rational", "--e1", "1e308",
+                      "--ratios", "3/2")
+    argv = [spec if a == "S" else a for a in argv]
+    if argv[0] == "sweep":
+        argv += ["--out-csv", str(tmp_path / "s.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": error, "message": message}
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("sweep", ["mass:-inf:1:5", "mass:-1e308:1e308:5", "lc:1:inf:3"])
+def test_a_sweep_range_that_is_not_finite_is_refused(tmp_path, capsys, sweep):
+    # np.linspace would warn first; the suite turns a RuntimeWarning into an error
+    csv_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "sweep", "--lc", "8", "--p", "4", "--T", "100",
+                             "--sweep", sweep, "--out-csv", str(csv_path), *NATURAL)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "invalid-argument",
+        "message": f"sweep needs a finite min, max and max - min, got {sweep!r}"}
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("command", ["bounds", "sweep"])
 @pytest.mark.parametrize("route", ["p", "rational"])
 def test_a_z_past_the_float_range_is_refused(tmp_path, capsys, command, route):

@@ -328,6 +328,13 @@ def test_every_dial_entry_point_refuses_a_bad_dial(nat, entry, bad):
     call(spec, np.int64(4), 0.25)
 
 
+def test_a_z_too_long_for_decimal_is_refused(nat):
+    # 10^5000 has more digits than Python spells in decimal; the message gives its size
+    with pytest.raises(InvalidArgument) as info:
+        ClockPOVM(build_equally_spaced(3, 1.0, nat), -10**5000)
+    assert str(info.value) == "need z >= p = 3, got <a negative int of 16610 bits>"
+
+
 def test_identity_residual_rejects_small_z(nat):
     spec = build_equally_spaced(4, 1.0, nat)
     with pytest.raises(InvalidArgument):

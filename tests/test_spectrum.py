@@ -45,6 +45,21 @@ def test_equally_spaced_rejects_bad_args(p, T):
         build_equally_spaced(p, T)
 
 
+# a period whose levels 2 pi hbar n/T leave the float range is refused by name, and
+# without a RuntimeWarning: (p, T, units, spacing)
+@pytest.mark.parametrize("p, T, units, spacing", [
+    (4, 1e-320, "natural", "inf"),                     # the spacing overflows
+    (4, 4e-308, "natural", "1.5707963267948964e+308"),  # the top level overflows
+    (4, 2.5e299, "si", "0.0"),                         # the spacing underflows
+])
+def test_equally_spaced_refuses_levels_past_the_float_range(p, T, units, spacing):
+    consts = natural_units() if units == "natural" else codata2018()
+    with pytest.raises(InvalidArgument) as info:
+        build_equally_spaced(p, T, consts)
+    assert str(info.value) == (f"T = {T!r} puts the levels 2 pi hbar n/T, n = 0..{p}, "
+                               f"outside the positive float64 range (spacing {spacing})")
+
+
 # --- rational ----------------------------------------------------------------
 
 def test_rational_lcm_example_three_halves_two(nat):
