@@ -58,6 +58,14 @@ to an offset phase u_n per level, so sum_m f_m |tau_m><tau_m| is the
 circulant u_n conj(u_k) c[(n-k) mod (p+1)] with c = fft(f)/(p+1): the
 Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 
+Each dense (p+1)^2 operator is built in its own buffer: every step of the
+whole-matrix expression it stands for is worked in place, or a band at a
+time, in that expression's operand order, so the result has the same bits.
+The time operator and its energy shifts peak at 16 B per entry and one
+scrub band, the frame operator at about 41 B per entry.  eigvalsh copies
+its matrix inside LAPACK, in memory numpy does not allocate, which
+tracemalloc does not see and no charge counts.
+
 Every dial entry point builds its dial as a ClockPOVM, the one check of z
 and tau_0.  The frame operator holds r_n mod (z+1) in int64, so it and the
 rationalized residual take z+1 <= 2^62; the exact residual takes any z.
@@ -78,6 +86,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum, spell
 from .spectrum import ClockSpectrum, SpectrumKind, _charge
@@ -88,6 +97,9 @@ from .spectrum import ClockSpectrum, SpectrumKind, _charge
 _BLOCK = 2**14
 # |overlap| below which a polished minimum counts as an orthogonal dial time
 _ZERO_TOL = 1e-9
+# entries in each of the two arrays of a Hermitian scrub band: 2^12 // (p+1)
+# rows and columns at a time, at least one
+_BAND = 2**12
 
 
 def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
@@ -178,7 +190,7 @@ def grid_amplitudes(spec: ClockSpectrum, z: int, tau_0: float = 0.0) -> np.ndarr
     zp1 = povm.n_outcomes
     # fromiter fills the grid row by row; beside it sit the twiddle table, the
     # window's m, and the next row with its gather index, 48 B per dial time
-    _charge(16 * (spec.dimension + 3) * zp1, f"a {spec.dimension} x {zp1} dial grid")
+    _charge(16 * (spec.dimension + 3) * zp1, f"a {spec.dimension} x {spell(zp1)} dial grid")
     return np.fromiter(_dial_rows(povm)(0, zp1), dtype=np.dtype((complex, zp1)),
                        count=spec.dimension)
 
@@ -236,10 +248,16 @@ class ClockPOVM:
 
         The one spelling of the dial: tau_0 + m * (T/(z+1)), worked in place in
         that order, so the same m gives the same bits in every caller.  A time
-        past the float range is inf, without a warning.
+        past the float range is inf, without a warning; a z+1 past the float
+        range, whose step T/(z+1) Python cannot divide out, is refused.
         """
+        try:
+            step = self.spectrum.T / (self.z + 1)
+        except OverflowError:
+            raise InvalidArgument(f"the dial step T/(z+1) is past the float64 range at "
+                                  f"z+1 = {spell(self.z + 1)}") from None
         taus = np.arange(start, stop, dtype=float)
-        taus *= self.spectrum.T / (self.z + 1)
+        taus *= step
         with np.errstate(over="ignore"):
             taus += float(self.tau_0)
         return taus
@@ -247,7 +265,7 @@ class ClockPOVM:
     @functools.cached_property
     def tau_grid(self) -> np.ndarray:
         """The dial times tau_m, built once and read-only."""
-        _charge(8 * (self.z + 1), f"a dial of {self.z + 1} times")
+        _charge(8 * (self.z + 1), f"a dial of {spell(self.z + 1)} times")
         grid = self.times(0, self.z + 1)
         grid.setflags(write=False)
         return grid
@@ -255,7 +273,8 @@ class ClockPOVM:
     def element(self, m: int) -> np.ndarray:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
         if not isinstance(m, (int, np.integer)) or not 0 <= m <= self.z:
-            raise InvalidArgument(f"outcome index {m!r} outside the integers 0..{self.z}")
+            raise InvalidArgument(
+                f"outcome index {spell(m)} outside the integers 0..{spell(self.z)}")
         _charge(16 * self.spectrum.dimension ** 2, "a POVM element")
         tau_m = Fraction(self.tau_0) + m * Fraction(self.spectrum.T) / (self.z + 1)
         v = time_state(self.spectrum, tau_m).amplitudes
@@ -305,19 +324,41 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     so the small angle never cancels.  Exact spectra have d = 0, so every
     entry of the sum is exactly 1 or 0.  Costs O((p+1)^2) whatever z is; the
     residues are int64, so z+1 is at most 2^62.
+
+    Each (p+1)^2 array is worked in place and dropped once used, with the
+    elementwise operations of the whole-matrix expression in their operand
+    order (a complex multiply with fused multiply-add is not commutative in
+    its imaginary part), so F holds the same bits.  It peaks at about 41 B
+    per entry, while the two expm1 terms, the angle and its mask coexist,
+    and is charged 48.
     """
     if zp1 > 2**62:
-        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {zp1}")
-    _charge(73 * spec.dimension ** 2, "a frame operator")
+        raise InvalidArgument(f"dial grids capped at z+1 <= 2^62, got {spell(zp1)}")
+    _charge(48 * spec.dimension ** 2, "a frame operator")
     res = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
-    q = (res[:, None] - res[None, :] + zp1 // 2) % zp1 - zp1 // 2
+    q = res[:, None] - res[None, :]
+    q += zp1 // 2
+    q %= zp1
+    q -= zp1 // 2
     d = (np.zeros(spec.dimension) if spec.has_exact_integers else
          spec.levels * (spec.T / (2.0 * math.pi * spec.hbar)) - np.array(spec.r, dtype=float))
     dd = d[:, None] - d[None, :]
-    angle = (q + dd) / zp1
-    geo = np.divide(np.expm1(-2j * math.pi * dd), zp1 * np.expm1(-2j * math.pi * angle),
-                    out=np.ones(q.shape, dtype=complex), where=angle != 0)
-    return _offset_phases(spec, tau_0) * geo
+    angle = q + dd
+    del q
+    angle /= zp1
+    geo = -2j * math.pi * dd
+    del dd
+    np.expm1(geo, out=geo)
+    turning = angle != 0  # where the sum is not z+1 equal terms
+    den = -2j * math.pi * angle
+    del angle
+    np.expm1(den, out=den)
+    np.multiply(zp1, den, out=den)
+    np.divide(geo, den, out=geo, where=turning)
+    del den
+    geo[~turning] = 1
+    del turning
+    return np.multiply(_offset_phases(spec, tau_0), geo, out=geo)
 
 
 def _completeness_residual(spec: ClockSpectrum, zp1: int, tau_0) -> float:
@@ -327,11 +368,12 @@ def _completeness_residual(spec: ClockSpectrum, zp1: int, tau_0) -> float:
     r_n mod (z+1), so F - I has eigenvalues c - 1 and -1 over the classes of
     size c: the residual is 0 for distinct residues, else max(c_max - 1, 1),
     exactly, in Python ints for any z+1.  Other spectra take the eigenvalues
-    of the closed-form F.
+    of the closed-form F, less 1 on its diagonal in place.
     """
     if not spec.has_exact_integers:
         F = _frame(spec, zp1, tau_0)
-        return float(np.abs(np.linalg.eigvalsh(F - np.eye(len(F)))).max())
+        F[np.diag_indices_from(F)] -= 1
+        return float(np.abs(np.linalg.eigvalsh(F)).max())
     largest = max(Counter(rn % zp1 for rn in spec.r).values())
     return 0.0 if largest == 1 else float(max(largest - 1, 1))
 
@@ -392,18 +434,47 @@ def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
 
     With r_n = n, <E_n|tau_m> = u_n e^{-2 pi i n m/(p+1)} / sqrt(p+1), so
     entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)], c = fft(f)/(p+1):
-    one length-(p+1) FFT and a gather, O((p+1)^2) instead of a grid product.
-    An f that is not finite, or whose sums overflow, is refused.
+    one length-(p+1) FFT, O((p+1)^2) instead of a grid product.  The offset
+    phases are multiplied in place by a zero-copy view of c whose row n is
+    c[n], c[n-1], ... mod p+1, so the operator is built in its one buffer of
+    16 B per entry, with no index matrix or gathered copy.  The charge also
+    covers the band of hermitian_time_operator's scrub.  An f that is not
+    finite, or whose sums overflow, is refused.
     """
-    spec = povm.spectrum
-    _charge(48 * spec.dimension ** 2, "a dial operator")
+    spec, d = povm.spectrum, povm.spectrum.dimension
+    _charge(16 * d * d + 32 * max(1, _BAND // d) * d, "a dial operator")
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.fft.fft(f) / spec.dimension
+        c = np.fft.fft(f) / d
     if not np.isfinite(c).all():
         raise InvalidArgument("the dial operator's sums overflow the float range")
-    n = np.arange(spec.dimension)
-    # n - k lies in [-p, p], and a negative index wraps mod p+1
-    return _offset_phases(spec, povm.tau_0) * c[n[:, None] - n]
+    # window i of the doubled reversal starts at c[(d-1-i) mod d], so window d-1-n is row n
+    windows = sliding_window_view(np.concatenate([c[::-1], c[::-1]]), d)
+    matrix = _offset_phases(spec, povm.tau_0)
+    matrix *= windows[d - 1::-1]
+    return matrix
+
+
+def _hermitian_scrub(matrix: np.ndarray) -> None:
+    """matrix <- (matrix + matrix^H)/2 in place, a band of rows and columns [a, b) at a time.
+
+    Each band's rows and columns are summed and halved before either is
+    written, columns first, each entry from the same operations as the
+    whole-matrix expression; the columns are not taken as the conjugate of
+    the rows, which would flip the sign of a zero imaginary part.  Beside
+    the matrix it holds two band arrays of at most max(_BAND, p+1) entries.
+    """
+    d = len(matrix)
+    width = max(1, _BAND // d)
+    for a in range(0, d, width):
+        b = min(a + width, d)
+        rows = matrix[a:, a:b].T.conj()
+        np.add(matrix[a:b, a:], rows, out=rows)
+        cols = matrix[a:b, a:].T.conj()
+        np.add(matrix[a:, a:b], cols, out=cols)
+        np.multiply(0.5, rows, out=rows)
+        np.multiply(0.5, cols, out=cols)
+        matrix[a:, a:b] = cols
+        matrix[a:b, a:] = rows
 
 
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
@@ -412,14 +483,17 @@ def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOper
     Only the equally-spaced spectrum admits orthogonal time states, so only
     there does the dial observable collapse to a Hermitian operator.  The
     dial times are ClockPOVM(spec, p, tau_0).tau_grid; a dial whose times or
-    their sum overflow the float range is refused.
+    their sum overflow the float range is refused.  The operator is built
+    and scrubbed Hermitian in its one buffer, so the call peaks at 16 B per
+    entry and a scrub band.  eigenvalues() hands the matrix to LAPACK, whose
+    working copy is allocated outside numpy and so outside tracemalloc.
     """
     if spec.kind is not SpectrumKind.EQUALLY_SPACED:
         raise UnsupportedSpectrum(
             "the Hermitian time operator exists only for equally-spaced spectra")
     povm = ClockPOVM(spec, spec.p, tau_0)
     matrix = _dial_circulant(povm, povm.tau_grid)
-    matrix = 0.5 * (matrix + matrix.conj().T)  # scrub rounding asymmetry
+    _hermitian_scrub(matrix)  # scrub rounding asymmetry
     return TimeOperator(matrix, povm)
 
 

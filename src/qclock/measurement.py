@@ -33,7 +33,7 @@ import numpy as np
 
 from .clockstates import ClockPOVM, TimeState, _blocks, _dial_rows
 from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
-                     NoEstimate)
+                     NoEstimate, spell)
 from .spectrum import _charge
 
 # tolerated drift of sum(P) away from 1 before a distribution is rejected
@@ -123,7 +123,7 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # also refuses nan
             raise InvalidArgument("state vector must be normalized")
     zp1 = povm.n_outcomes
-    _charge(32 * zp1, f"a measurement of {zp1} dial times")
+    _charge(32 * zp1, f"a measurement of {spell(zp1)} dial times")
     rows = _dial_rows(povm)
     weight = float(povm.weight)
     probs = np.empty(zp1)

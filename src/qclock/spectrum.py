@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgument
+from .errors import CapacityError, InvalidArgument, spell
 from .units import ConstantsSet, natural_units
 
 # r_p above this budget aborts spectrum construction.
@@ -43,7 +43,8 @@ _BYTE_BUDGET = 2**32
 
 def _charge(nbytes: int, what: str) -> None:
     if nbytes > _BYTE_BUDGET:
-        raise CapacityError(f"{what} needs {nbytes} bytes, past the budget of {_BYTE_BUDGET} bytes")
+        raise CapacityError(
+            f"{what} needs {spell(nbytes)} bytes, past the budget of {_BYTE_BUDGET} bytes")
 
 
 class SpectrumKind(enum.Enum):
@@ -188,6 +189,15 @@ def _integers_from_ratios(ratios: Sequence[RationalRatio]) -> tuple[int, ...]:
     return tuple(r)
 
 
+def _period(consts: ConstantsSet, r1: int, e1: float) -> float:
+    """T = 2 pi hbar r_1/E_1, refused by E_1 when it leaves the positive float range."""
+    T = 2.0 * math.pi * consts.hbar * r1 / e1
+    if not (T > 0.0 and T < math.inf):
+        raise InvalidArgument(f"E_1 = {e1!r} puts the period 2 pi hbar r_1/E_1, r_1 = {r1}, "
+                              f"outside the positive float64 range (period {T!r})")
+    return T
+
+
 def build_rational(ratios: Sequence[RationalRatio], e1: float,
                    consts: ConstantsSet | None = None) -> ClockSpectrum:
     """Spectrum from rational ratios E_n/E_1 (n = 2..p) and the first gap E_1.
@@ -200,7 +210,7 @@ def build_rational(ratios: Sequence[RationalRatio], e1: float,
     ratios = list(ratios)
     r = _integers_from_ratios(ratios)
     r1 = r[1]
-    T = 2.0 * math.pi * consts.hbar * r1 / e1
+    T = _period(consts, r1, e1)
     # E_n = E_1 * r_n / r_1 with the ratio reduced exactly before rounding
     levels = np.array([e1 * float(Fraction(rn, r1)) for rn in r])
     return ClockSpectrum(levels, r, T, consts.hbar, SpectrumKind.RATIONAL)
@@ -270,7 +280,7 @@ def rationalized_spectrum(levels: Sequence[float], epsilon: float,
     levels = np.asarray(levels, dtype=float)
     ratios, _ = rationalize(levels, epsilon)
     r = _integers_from_ratios(ratios)
-    T = 2.0 * math.pi * consts.hbar * r[1] / float(levels[1])
+    T = _period(consts, r[1], float(levels[1]))
     return ClockSpectrum(levels, r, T, consts.hbar, SpectrumKind.RATIONALIZED,
                          epsilon=float(epsilon))
 

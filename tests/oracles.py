@@ -250,3 +250,56 @@ def sweep_csv_rows(param, lo, hi, steps, report) -> str:
         writer.writerow([value, r.delta_tau_min, r.structural_dt, r.speed_limit_dt,
                          r.spreading_dt, r.fundamental_dt, r.mass_limit, r.binding.value])
     return out.getvalue()
+
+
+# --- the dense operators as whole-matrix expressions ---------------------------
+#
+# Each (p+1)^2 operator below is written as one numpy expression over whole
+# matrices, temporaries and all.  The library builds the same entries in one
+# buffer, so these are its bit-for-bit references: equal bytes, not equal
+# values within a tolerance.
+
+def offset_phases_dense(spec, tau0) -> np.ndarray:
+    """u_n conj(u_k), u_n = e^{-2 pi i t_n} with t_n the tau0 offset of level n in
+    turns (Fraction-reduced on exact spectra), and a diagonal of exactly 1."""
+    turns = (turns_fraction(spec.r, spec.T, tau0) if spec.has_exact_integers else
+             np.mod(spec.levels * (float(tau0) / (2.0 * math.pi * spec.hbar)), 1.0))
+    u = np.exp(-2j * math.pi * turns)
+    phase = u[:, None] * u.conj()
+    np.fill_diagonal(phase, 1.0)
+    return phase
+
+
+def dial_circulant_gathered(spec, tau0, f) -> np.ndarray:
+    """sum_m f_m |tau_m><tau_m| on the z = p dial of an equally spaced spectrum:
+    the offset phases times c[(n - k) mod (p+1)], c = fft(f)/(p+1), gathered by
+    an int64 index matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.fft.fft(f) / spec.dimension
+    n = np.arange(spec.dimension)
+    return offset_phases_dense(spec, tau0) * c[n[:, None] - n]
+
+
+def hermitian_scrub_dense(matrix) -> np.ndarray:
+    """(M + M^H)/2 from two whole-matrix temporaries."""
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def frame_dense(spec, zp1, tau0) -> np.ndarray:
+    """The closed-form frame operator: offset phases times the geometric sums
+    expm1(-2 pi i d)/((z+1) expm1(-2 pi i s/(z+1))), 1 where s/(z+1) = 0."""
+    res = np.array([rn % zp1 for rn in spec.r], dtype=np.int64)
+    q = (res[:, None] - res[None, :] + zp1 // 2) % zp1 - zp1 // 2
+    d = (np.zeros(spec.dimension) if spec.has_exact_integers else
+         spec.levels * (spec.T / (2.0 * math.pi * spec.hbar)) - np.array(spec.r, dtype=float))
+    dd = d[:, None] - d[None, :]
+    angle = (q + dd) / zp1
+    geo = np.divide(np.expm1(-2j * math.pi * dd), zp1 * np.expm1(-2j * math.pi * angle),
+                    out=np.ones(q.shape, dtype=complex), where=angle != 0)
+    return offset_phases_dense(spec, tau0) * geo
+
+
+def frame_residual_dense(spec, zp1, tau0) -> float:
+    """||F - I||_2 of frame_dense from the eigenvalues of the Hermitian F - I."""
+    F = frame_dense(spec, zp1, tau0)
+    return float(np.abs(np.linalg.eigvalsh(F - np.eye(len(F)))).max())

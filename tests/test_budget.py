@@ -12,8 +12,12 @@ import pytest
 
 from qclock import (CapacityError, ClockPOVM, ClockSpectrum, SpectrumKind,
                     build_equally_spaced, cli, continuous_identity_residual,
-                    first_orthogonal_time, frame_operator, grid_amplitudes,
-                    hermitian_time_operator, identity_residual, spectrum)
+                    energy_shift_unitary, first_orthogonal_time, frame_operator,
+                    grid_amplitudes, hermitian_time_operator, identity_residual,
+                    spectrum)
+
+from oracles import (dial_circulant_gathered, frame_dense, frame_residual_dense,
+                     hermitian_scrub_dense)
 
 # the budget the charges are checked against; a run the budget admits may
 # peak 2 MiB past it (windows of 2^14 dial times, small arrays, interpreter
@@ -85,11 +89,13 @@ CHARGES = {
     "grid_amplitudes": (lambda n: 16 * 7 * n, _grid),
     "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
         build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
-    "dial-circulant": (lambda d: 48 * d * d, lambda tmp_path: lambda d: hermitian_time_operator(
-        build_equally_spaced(d - 1, 1.0))),
-    "frame-eigvalsh": (lambda d: 73 * d * d, lambda tmp_path: lambda d: identity_residual(
+    # the operator's one buffer, and the two arrays of a scrub band of 2^12 // d rows
+    "dial-circulant": (lambda d: 16 * d * d + 32 * max(1, 2**12 // d) * d,
+                       lambda tmp_path: lambda d: hermitian_time_operator(
+                           build_equally_spaced(d - 1, 1.0))),
+    "frame-eigvalsh": (lambda d: 48 * d * d, lambda tmp_path: lambda d: identity_residual(
         _rationalized(d), d - 1)),
-    "frame_operator": (lambda d: 73 * d * d, lambda tmp_path: lambda d: frame_operator(
+    "frame_operator": (lambda d: 48 * d * d, lambda tmp_path: lambda d: frame_operator(
         _rationalized(d), d - 1)),
     "build_equally_spaced": (lambda n: 73 * n, lambda tmp_path: lambda n: build_equally_spaced(
         n - 1, 1.0)),
@@ -154,6 +160,37 @@ def test_each_path_is_charged_its_peak(tmp_path, monkeypatch, capsys, name):
         assert isinstance(outcome, CapacityError)
         message = str(outcome)
     assert f"needs {charge(n + 1)} bytes, past the budget of {BUDGET} bytes" in message
+
+
+def test_the_dial_operators_peak_at_one_matrix():
+    # p = 511: 4 MiB a matrix, where the whole-matrix expressions held three
+    d = 512
+    spec = build_equally_spaced(d - 1, 2.5)
+    op = hermitian_time_operator(spec, 0.3)  # numpy.fft's first plan, outside the trace
+    traced, peak = _traced(lambda _: hermitian_time_operator(spec, 0.3), d)
+    assert peak <= 16 * d * d + 2**20
+    taus = op.povm.tau_grid
+    expected = hermitian_scrub_dense(dial_circulant_gathered(spec, 0.3, taus))
+    assert traced.matrix.tobytes() == expected.tobytes()
+    delta_e = 0.7 * spec.hbar / spec.T
+    U, peak = _traced(lambda _: energy_shift_unitary(op, delta_e), d)
+    assert peak <= 16 * d * d + 2**20
+    phases = np.exp(-1j * delta_e * taus / spec.hbar)
+    assert U.tobytes() == dial_circulant_gathered(spec, 0.3, phases).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["equally-spaced", "rationalized"])
+def test_the_frame_peaks_within_48_bytes_an_entry(kind):
+    # z+1 = d + 2, so every off-diagonal sum is a quotient of two expm1 terms
+    d = 512
+    spec = build_equally_spaced(d - 1, 1.0) if kind == "equally-spaced" else _rationalized(d)
+    F, peak = _traced(lambda _: frame_operator(spec, d + 1, 0.4), d)
+    assert peak <= 48 * d * d
+    assert F.tobytes() == frame_dense(spec, d + 2, 0.4).tobytes()
+    if kind == "rationalized":
+        residual, peak = _traced(lambda _: identity_residual(spec, d + 1, 0.4), d)
+        assert peak <= 48 * d * d
+        assert residual == frame_residual_dense(spec, d + 2, 0.4)
 
 
 def test_the_budget_keeps_gathered_dial_indices_in_int64():

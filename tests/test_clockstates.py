@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 from collections import Counter
@@ -19,11 +20,13 @@ from qclock import (CapacityError, ClockPOVM, ClockSpectrum, IncompatibleStates,
                     clockstates, continuous_identity_residual,
                     energy_shift_unitary, evolve, first_orthogonal_time,
                     frame_operator, grid_amplitudes, hermitian_time_operator,
-                    identity_residual, overlap, rationalized_spectrum,
-                    time_state)
+                    identity_residual, outcome_probabilities, overlap,
+                    rationalized_spectrum, time_state)
 
-from oracles import (dial_operator_naive, first_zero_scan, frame_residual_naive,
-                     gram_matrix_naive, random_rational_fracs, turns_fraction)
+from oracles import (dial_circulant_gathered, dial_operator_naive, first_zero_scan,
+                     frame_dense, frame_residual_dense, frame_residual_naive,
+                     gram_matrix_naive, hermitian_scrub_dense, random_rational_fracs,
+                     turns_fraction)
 
 # what a refusal by the byte budget says
 BUDGET_MESSAGE = r"needs \d+ bytes, past the budget of \d+ bytes"
@@ -335,6 +338,45 @@ def test_a_z_too_long_for_decimal_is_refused(nat):
     assert str(info.value) == "need z >= p = 3, got <a negative int of 16610 bits>"
 
 
+# calls that take an int of 5001 digits, past what Python spells in decimal:
+# each refusal gives its size, and no warning is raised on the way
+HUGE = 10**5000
+HUGE_INT_REFUSALS = {
+    "frame_operator": (lambda spec, rat: frame_operator(spec, HUGE), InvalidArgument,
+                       "dial grids capped at z+1 <= 2^62, got <an int of 16610 bits>"),
+    "rationalized-residual": (lambda spec, rat: identity_residual(rat, HUGE), InvalidArgument,
+                              "dial grids capped at z+1 <= 2^62, got <an int of 16610 bits>"),
+    "grid_amplitudes": (lambda spec, rat: grid_amplitudes(spec, HUGE), CapacityError,
+                        "a 4 x <an int of 16610 bits> dial grid needs <an int of 16617 bits> "
+                        "bytes, past the budget of 4294967296 bytes"),
+    "outcome_probabilities": (
+        lambda spec, rat: outcome_probabilities(time_state(spec, 0.0), ClockPOVM(spec, HUGE)),
+        CapacityError, "a measurement of <an int of 16610 bits> dial times needs "
+                       "<an int of 16615 bits> bytes, past the budget of 4294967296 bytes"),
+    "tau_grid": (lambda spec, rat: ClockPOVM(spec, HUGE).tau_grid, CapacityError,
+                 "a dial of <an int of 16610 bits> times needs <an int of 16613 bits> bytes, "
+                 "past the budget of 4294967296 bytes"),
+    "element": (lambda spec, rat: ClockPOVM(spec, 3).element(HUGE), InvalidArgument,
+                "outcome index <an int of 16610 bits> outside the integers 0..3"),
+    "times": (lambda spec, rat: ClockPOVM(spec, HUGE).times(0, 2), InvalidArgument,
+              "the dial step T/(z+1) is past the float64 range at z+1 = <an int of 16610 bits>"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INT_REFUSALS))
+def test_ints_too_long_for_decimal_are_refused_by_size(nat, name):
+    call, error, message = HUGE_INT_REFUSALS[name]
+    spec = build_equally_spaced(3, 1.0, nat)
+    rat = ClockSpectrum(np.arange(4) * (1 + 1e-7), range(4), 2 * math.pi, 1.0,
+                        SpectrumKind.RATIONALIZED, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(spec, rat)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_identity_residual_rejects_small_z(nat):
     spec = build_equally_spaced(4, 1.0, nat)
     with pytest.raises(InvalidArgument):
@@ -510,6 +552,70 @@ def test_time_operator_refuses_an_overflowing_dial(nat, p, tau0):
     # term, is not.  A RuntimeWarning on the way would fail the test too
     with pytest.raises(InvalidArgument, match="overflow"):
         hermitian_time_operator(build_equally_spaced(p, 1e308, nat), tau0)
+
+
+# dial offsets: both zeros, a negative one, and ones far past the period
+OFFSETS = st.one_of(st.sampled_from([0.0, -0.0, -2.5, 1e15, -3e17, 1e100]),
+                    st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 300), T=st.floats(0.1, 100.0), tau0=OFFSETS,
+       shift=st.floats(-10.0, 10.0))
+def test_dial_operators_are_the_whole_matrix_expressions_to_the_byte(nat, p, T, tau0, shift):
+    spec = build_equally_spaced(p, T, nat)
+    op = hermitian_time_operator(spec, tau0)
+    taus = op.povm.tau_grid
+    expected = hermitian_scrub_dense(dial_circulant_gathered(spec, tau0, taus))
+    assert op.matrix.tobytes() == expected.tobytes()
+    delta_e = shift * spec.hbar / spec.T
+    phases = np.exp(-1j * delta_e * taus / spec.hbar)
+    U = energy_shift_unitary(op, delta_e)
+    assert U.tobytes() == dial_circulant_gathered(spec, tau0, phases).tobytes()
+
+
+def test_the_scrub_is_the_whole_matrix_expression_band_by_band(monkeypatch):
+    # entries drawn from zeros of both signs, a subnormal and a few repeated
+    # values, so many pairs share an imaginary part; bands of 1, 2, 5 and 37
+    # rows leave last bands of one row, and a whole-matrix band
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -3.25])
+    rng = np.random.default_rng(7)
+    matrix = rng.choice(values, (38, 38)) + 1j * rng.choice(values, (38, 38))
+    expected = hermitian_scrub_dense(matrix)
+    for rows in (1, 2, 5, 37, 38):
+        monkeypatch.setattr(clockstates, "_BAND", rows * 38)
+        scrubbed = matrix.copy()
+        clockstates._hermitian_scrub(scrubbed)
+        assert scrubbed.tobytes() == expected.tobytes()
+
+
+def _frame_spectrum(kind, p, seed, nat):
+    rng = np.random.default_rng(seed)
+    if kind == "equally-spaced":
+        return build_equally_spaced(p, 1.0 + rng.random(), nat)
+    if kind == "rational":
+        fracs = random_rational_fracs(rng, min(p, 12))
+        return build_rational([RationalRatio.from_fraction(f) for f in fracs], 1.0, nat)
+    # levels just off r_n = n, so every d_nk is a small non-zero float
+    levels = np.arange(p + 1) + rng.uniform(-0.01, 0.01, p + 1)
+    levels[0] = 0.0
+    return ClockSpectrum(levels, range(p + 1), 2 * math.pi, 1.0,
+                         SpectrumKind.RATIONALIZED, 0.02)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["equally-spaced", "rational", "rationalized"]),
+       p=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), tau0=OFFSETS,
+       above=st.one_of(st.sampled_from([0, 1, 2, 3, 10**3, 2**40, 2**62]),
+                       st.integers(0, 2**62)))
+def test_the_frame_is_the_whole_matrix_expression_to_the_byte(nat, kind, p, seed, tau0, above):
+    # z+1 equal to d, just above it, and far above it, up to the 2^62 cap
+    spec = _frame_spectrum(kind, p, seed, nat)
+    zp1 = min(spec.dimension + above, 2**62)
+    F = frame_operator(spec, zp1 - 1, tau0)
+    assert F.tobytes() == frame_dense(spec, zp1, tau0).tobytes()
+    if kind == "rationalized":
+        assert identity_residual(spec, zp1 - 1, tau0) == frame_residual_dense(spec, zp1, tau0)
 
 
 # --- POVM object ----------------------------------------------------------------

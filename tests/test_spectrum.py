@@ -62,6 +62,24 @@ def test_equally_spaced_refuses_levels_past_the_float_range(p, T, units, spacing
 
 # --- rational ----------------------------------------------------------------
 
+# a first gap whose period 2 pi hbar r_1/E_1 leaves the float range is refused by
+# E_1, on both routes that take the period from it: (build, E_1, units, period)
+@pytest.mark.parametrize("build, e1, units, period", [
+    ("rational", 1e308, "si", "0.0"),          # the period underflows
+    ("rational", 5e-324, "natural", "inf"),    # the period overflows
+    ("rationalized", 1e308, "si", "0.0"),
+])
+def test_a_period_past_the_float_range_is_refused_by_its_first_gap(build, e1, units, period):
+    consts = natural_units() if units == "natural" else codata2018()
+    with pytest.raises(InvalidArgument) as info:
+        if build == "rational":
+            build_rational([RationalRatio(3, 2)], e1, consts)
+        else:
+            rationalized_spectrum([0.0, e1, 1.5 * e1], 1e-3, consts)
+    assert str(info.value) == (f"E_1 = {e1!r} puts the period 2 pi hbar r_1/E_1, r_1 = 2, "
+                               f"outside the positive float64 range (period {period})")
+
+
 def test_rational_lcm_example_three_halves_two(nat):
     # E_2/E_1 = 3/2, E_3/E_1 = 2 -> r_1 = lcm(2, 1) = 2, r = (0, 2, 3, 4)
     spec = build_rational([RationalRatio(3, 2), RationalRatio(2, 1)], 1.0, nat)
