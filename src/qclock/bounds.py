@@ -48,26 +48,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateClock, InvalidArgument, QClockError,
-                     SchwarzschildViolation, spell)
+from .errors import (_INTEGERS, DegenerateClock, InvalidArgument, QClockError,
+                     SchwarzschildViolation, _finite, spell)
 from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
 
 
 # --- the checks, each spelled once ---------------------------------------------
 
-def _positive(x):  # an int past the float range compares exactly, and is finite
-    return (x > 0.0) & (abs(x) < math.inf)
+def _positive(x):  # x > 0 in the float64 range, for a number or a column
+    finite = _finite(x)
+    return finite & (x > 0.0) if np.ndim(finite) else finite and x > 0.0
+
+
+def _non_negative(x):
+    return (x == 0.0) | _positive(x)
 
 
 # a check of a number or a column: (test, error, message spelling the value at fault)
-_PERIOD = (_positive, InvalidArgument, "period must be positive, got {!r}")
-_OPERATIONAL_TIME = (_positive, InvalidArgument, "operational time must be positive, got {!r}")
-_MASS = (_positive, InvalidArgument, "mass must be positive, got {!r}")
+_PERIOD = (_positive, InvalidArgument, "period must be positive, got {}")
+_OPERATIONAL_TIME = (_positive, InvalidArgument, "operational time must be positive, got {}")
+_MASS = (_positive, InvalidArgument, "mass must be positive, got {}")
 _BODY_CHECKS = (  # of l_C, m_rest and m
-    (_positive, InvalidArgument, "clock diameter must be positive, got {!r}"),
-    (lambda x: (x == 0.0) | _positive(x), InvalidArgument, "rest mass must be >= 0, got {!r}"),
-    (lambda x: np.logical_not(x < 0.0), InvalidArgument, "inertial mass must be >= 0, got {!r}"),
+    (_positive, InvalidArgument, "clock diameter must be positive, got {}"),
+    (_non_negative, InvalidArgument, "rest mass must be >= 0, got {}"),
+    (_non_negative, InvalidArgument, "inertial mass must be >= 0, got {}"),
 )
 # the confinement checks, of l_C/2 > 2 G m_rest/c^2 and of chi
 _ADMISSIBLE = (lambda ok: ok, SchwarzschildViolation,
@@ -80,7 +85,7 @@ def _require(check, value) -> None:
     """A check of one value: raise its error unless the value passes."""
     test, error, message = check
     if not test(value):
-        raise error(message.format(value))
+        raise error(message.format(spell(value)))
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ def _fundamental(consts: ConstantsSet, theta: np.ndarray) -> np.ndarray:
 def _dial_states(z, p, r_p=None) -> float:
     """float(z+1), the one check of z for a bound: z is an int with z >= p for an
     equally spaced spectrum, or z+1 > r_p for a generic one (r_p given)."""
-    if not isinstance(z, (int, np.integer)):
-        raise InvalidArgument(f"z must be an integer, got {z!r}")
+    if not isinstance(z, _INTEGERS):
+        raise InvalidArgument(f"z must be an integer, got {spell(z)}")
     z = int(z)
     if r_p is None:
         if z < p:
@@ -159,11 +164,9 @@ def _dial_states(z, p, r_p=None) -> float:
     elif not z + 1 > r_p:
         raise InvalidArgument(f"completeness requires z+1 > r_p, "
                               f"got z+1={spell(z + 1)}, r_p={r_p}")
-    try:
-        return float(z + 1)
-    except OverflowError:
-        raise InvalidArgument(f"z+1 has {(z + 1).bit_length()} bits, "
-                              "past the float64 range") from None
+    if not _finite(z + 1):
+        raise InvalidArgument(f"z+1 has {(z + 1).bit_length()} bits, past the float64 range")
+    return float(z + 1)
 
 
 # --- one limit at a time ------------------------------------------------------
@@ -407,7 +410,7 @@ def _bound_columns(consts: ConstantsSet, spectrum, l_C, m_rest, m=None, theta=No
     def require(stage, check, x):
         """A check of one value, on each entry of the column x."""
         test, error, message = check
-        note_first(stage, test(x), error, lambda i: message.format(x[i].item()))
+        note_first(stage, test(x), error, lambda i: message.format(spell(x[i].item())))
 
     def refuse():
         row, _, _, error, message = min(found)

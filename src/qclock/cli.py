@@ -45,7 +45,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -53,7 +52,7 @@ import numpy as np
 from . import __version__
 from .bounds import BindingBound, ClockBody, _bound_columns, bound_report
 from .clockstates import ClockPOVM, identity_residual, time_state
-from .errors import InvalidArgument, NoEstimate, QClockError
+from .errors import InvalidArgument, NoEstimate, QClockError, _finite
 from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
 from .spectrum import (ClockSpectrum, RationalRatio, _charge,
                        build_equally_spaced, build_rational, max_integer,
@@ -76,7 +75,7 @@ def _check_finite(value) -> None:
     elif isinstance(value, (list, tuple)):
         for item in value:
             _check_finite(item)
-    elif isinstance(value, float) and not math.isfinite(value):
+    elif isinstance(value, float) and not _finite(value):
         raise QClockError(f"non-finite result has no JSON form: {value!r}")
 
 
@@ -218,20 +217,6 @@ def _constants_for(args):
                              args.constants)
 
 
-def _parse_ratios(text: str) -> list[RationalRatio]:
-    ratios = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if "/" not in piece:
-            raise InvalidArgument(f"ratio {piece!r} must look like C/B")
-        c_text, _, b_text = piece.partition("/")
-        try:
-            ratios.append(RationalRatio(int(c_text), int(b_text)))
-        except ValueError as exc:
-            raise InvalidArgument(f"bad ratio {piece!r}") from exc
-    return ratios
-
-
 def _spectrum_from_args(args, consts, T: float | None = None) -> ClockSpectrum:
     """The --spectrum file, or the equally spaced clock of --p and --T (or T)."""
     if getattr(args, "spectrum", None):
@@ -270,8 +255,8 @@ def cmd_build(args) -> int:
     elif args.kind == "rational":
         if args.e1 is None:
             raise InvalidArgument("rational build needs --e1 (and usually --ratios)")
-        ratios = _parse_ratios(args.ratios) if args.ratios else []
-        spec = build_rational(ratios, args.e1, consts)
+        ratios = args.ratios.split(",") if args.ratios else []
+        spec = build_rational([RationalRatio.parse(text) for text in ratios], args.e1, consts)
     else:
         if args.levels is None or args.epsilon is None:
             raise InvalidArgument("rationalized build needs --levels and --epsilon")
@@ -425,7 +410,7 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
         raise InvalidArgument(f"bad sweep range {text!r}") from exc
     if steps < 2 or not hi > lo:
         raise InvalidArgument("sweep needs max > min and steps >= 2")
-    if not math.isfinite(hi - lo):  # np.linspace would warn on an infinite min, max or width
+    if not _finite(hi - lo):  # np.linspace would warn on an infinite min, max or width
         raise InvalidArgument(f"sweep needs a finite min, max and max - min, got {text!r}")
     return param, lo, hi, steps
 

@@ -86,9 +86,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IncompatibleStates, InvalidArgument, UnsupportedSpectrum, spell
+from .errors import (_INTEGERS, CapacityError, IncompatibleStates, InvalidArgument,
+                     UnsupportedSpectrum, _finite, spell)
 from .spectrum import ClockSpectrum, SpectrumKind, _charge
 
 # dial times a measurement works on at a time.  A power of two, so every
@@ -109,8 +109,8 @@ def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
     exact, so e.g. evolving by the Fraction T/(z+1) lands on the next grid
     state to the last ulp.
     """
-    if not math.isfinite(tau):
-        raise InvalidArgument(f"dial time must be finite, got {tau!r}")
+    if not _finite(tau):
+        raise InvalidArgument(f"dial time must be finite, got {spell(tau)}")
     if spec.has_exact_integers:
         # (r_n x) mod 1 on the numerators; int true division rounds correctly,
         # so each turn is float((r_n x) % 1) without a Fraction per level
@@ -153,10 +153,14 @@ def _dial_rows(povm: ClockPOVM):
     rows.  A caller that folds the rows a window at a time, and drops each row
     before it asks for the next, keeps one window of memory beside the 16 B per
     dial time of the table.
+    The gather index (r_n mod (z+1)) m is int64 and at most z^2, so a z with
+    z^2 >= 2^63 is refused first; the byte budget keeps z far below that.
     """
     spec, zp1 = povm.spectrum, povm.n_outcomes
     norm = math.sqrt(spec.dimension)
     if spec.has_exact_integers:
+        if povm.z ** 2 >= 2**63:
+            raise CapacityError(f"the int64 gather index needs z^2 < 2^63, got z = {spell(povm.z)}")
         w = np.empty(zp1, dtype=complex)
         for start, stop in _blocks(zp1):
             np.exp(-2j * math.pi * (np.arange(start, stop) / float(zp1)), out=w[start:stop])
@@ -225,14 +229,12 @@ class ClockPOVM:
     tau_0: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.z, (int, np.integer)) or self.z < self.spectrum.p:
+        if not isinstance(self.z, _INTEGERS) or self.z < self.spectrum.p:
             raise InvalidArgument(f"need z >= p = {self.spectrum.p}, got {spell(self.z)}")
-        try:
-            finite = math.isfinite(self.tau_0)
-        except OverflowError:  # an int or a Fraction past the float range
-            raise InvalidArgument("dial offset tau_0 is past the float64 range") from None
-        if not finite:
-            raise InvalidArgument(f"dial offset tau_0 must be finite, got {self.tau_0!r}")
+        if not _finite(self.tau_0):
+            why = ("is past the float64 range" if isinstance(self.tau_0, (int, Fraction))
+                   else "must be finite")
+            raise InvalidArgument(f"dial offset tau_0 {why}, got {spell(self.tau_0)}")
         object.__setattr__(self, "z", int(self.z))
 
     @property
@@ -251,11 +253,10 @@ class ClockPOVM:
         past the float range is inf, without a warning; a z+1 past the float
         range, whose step T/(z+1) Python cannot divide out, is refused.
         """
-        try:
-            step = self.spectrum.T / (self.z + 1)
-        except OverflowError:
+        if not _finite(self.z + 1):
             raise InvalidArgument(f"the dial step T/(z+1) is past the float64 range at "
-                                  f"z+1 = {spell(self.z + 1)}") from None
+                                  f"z+1 = {spell(self.z + 1)}")
+        step = self.spectrum.T / (self.z + 1)
         taus = np.arange(start, stop, dtype=float)
         taus *= step
         with np.errstate(over="ignore"):
@@ -272,7 +273,7 @@ class ClockPOVM:
 
     def element(self, m: int) -> np.ndarray:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
-        if not isinstance(m, (int, np.integer)) or not 0 <= m <= self.z:
+        if not isinstance(m, _INTEGERS) or not 0 <= m <= self.z:
             raise InvalidArgument(
                 f"outcome index {spell(m)} outside the integers 0..{spell(self.z)}")
         _charge(16 * self.spectrum.dimension ** 2, "a POVM element")
@@ -287,14 +288,10 @@ def time_state(spec: ClockSpectrum, tau: float) -> TimeState:
     return TimeState(amps, float(tau), spec)
 
 
-def _require_same_spectrum(a: TimeState, b: TimeState) -> None:
-    if a.spectrum is not b.spectrum and not a.spectrum.same_as(b.spectrum):
-        raise IncompatibleStates("states belong to different spectra")
-
-
 def overlap(a: TimeState, b: TimeState) -> complex:
     """<a|b> = (p+1)^(-1) sum_n exp(-i E_n (tau_b - tau_a)/hbar)."""
-    _require_same_spectrum(a, b)
+    if not a.spectrum.same_as(b.spectrum):
+        raise IncompatibleStates("states belong to different spectra")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -304,15 +301,17 @@ def evolve(state: TimeState, dt: float) -> TimeState:
     return TimeState(amps, state.tau + float(dt), state.spectrum)
 
 
-def _offset_phases(spec: ClockSpectrum, tau_0) -> np.ndarray:
-    """u_n conj(u_k) with u_n = e^{-2 pi i t_n}, t_n the tau_0 offset in turns.
-
-    The diagonal is exactly 1, so the phases never scale a diagonal entry.
-    """
+def _offset_phases(spec: ClockSpectrum, tau_0, other, out: np.ndarray) -> np.ndarray:
+    """out[n] = (u_n conj(u_k)) * other(n), u_n = e^{-2 pi i t_n} with t_n the tau_0
+    offset in turns, a row at a time, since a broadcast product allocates numpy's
+    iterator buffers.  The phases' diagonal is exactly 1, so it scales no entry."""
     u = _phase_factors(spec, tau_0)
-    phase = u[:, None] * u.conj()
-    np.fill_diagonal(phase, 1.0)
-    return phase
+    uc, phase = u.conj(), np.empty(len(u), dtype=complex)
+    for n, un in enumerate(u):
+        np.multiply(un, uc, out=phase)
+        phase[n] = 1.0
+        np.multiply(phase, other(n), out=out[n])
+    return out
 
 
 def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
@@ -358,7 +357,7 @@ def _frame(spec: ClockSpectrum, zp1: int, tau_0) -> np.ndarray:
     del den
     geo[~turning] = 1
     del turning
-    return np.multiply(_offset_phases(spec, tau_0), geo, out=geo)
+    return _offset_phases(spec, tau_0, lambda n: geo[n], geo)
 
 
 def _completeness_residual(spec: ClockSpectrum, zp1: int, tau_0) -> float:
@@ -404,16 +403,14 @@ def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
     aliasing below it.  Fewer than p+1 nodes make no POVM, so no ClockPOVM
     checks quad_points and t_0.
     """
-    if not isinstance(quad_points, (int, np.integer)):
-        raise InvalidArgument(f"quad_points must be an integer, got {quad_points!r}")
-    r_p = spec.r[-1]
-    if enforce_nyquist and quad_points < 2 * (r_p + 1):
-        raise InvalidArgument(
-            f"need quad_points >= 2*(r_p+1) = {2 * (r_p + 1)}, got {quad_points}")
+    if not isinstance(quad_points, _INTEGERS):
+        raise InvalidArgument(f"quad_points must be an integer, got {spell(quad_points)}")
+    if enforce_nyquist and quad_points < (least := 2 * (spec.r[-1] + 1)):
+        raise InvalidArgument(f"need quad_points >= 2*(r_p+1) = {least}, got {spell(quad_points)}")
     if quad_points < 2:
         raise InvalidArgument("need at least 2 quadrature points")
-    if not math.isfinite(t_0):  # the exact residual computes no phase to refuse it
-        raise InvalidArgument(f"dial time must be finite, got {t_0!r}")
+    if not _finite(t_0):  # the exact residual computes no phase to refuse it
+        raise InvalidArgument(f"dial time must be finite, got {spell(t_0)}")
     # the N-point periodic trapezoid over [t_0, t_0+T] is the dial grid with z+1 = N
     return _completeness_residual(spec, int(quad_points), t_0)
 
@@ -435,9 +432,9 @@ def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
     With r_n = n, <E_n|tau_m> = u_n e^{-2 pi i n m/(p+1)} / sqrt(p+1), so
     entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)], c = fft(f)/(p+1):
     one length-(p+1) FFT, O((p+1)^2) instead of a grid product.  The offset
-    phases are multiplied in place by a zero-copy view of c whose row n is
-    c[n], c[n-1], ... mod p+1, so the operator is built in its one buffer of
-    16 B per entry, with no index matrix or gathered copy.  The charge also
+    phases of row n are multiplied by a slice of c reversed twice over, c[n],
+    c[n-1], ... mod p+1, so the operator is built in its one buffer of 16 B
+    per entry, with no index matrix or gathered copy.  The charge also
     covers the band of hermitian_time_operator's scrub.  An f that is not
     finite, or whose sums overflow, is refused.
     """
@@ -447,11 +444,9 @@ def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
         c = np.fft.fft(f) / d
     if not np.isfinite(c).all():
         raise InvalidArgument("the dial operator's sums overflow the float range")
-    # window i of the doubled reversal starts at c[(d-1-i) mod d], so window d-1-n is row n
-    windows = sliding_window_view(np.concatenate([c[::-1], c[::-1]]), d)
-    matrix = _offset_phases(spec, povm.tau_0)
-    matrix *= windows[d - 1::-1]
-    return matrix
+    twice = np.concatenate([c[::-1], c[::-1]])  # from d-1-n on: c[n], c[n-1], ...
+    return _offset_phases(spec, povm.tau_0, lambda n: twice[d - 1 - n:2 * d - 1 - n],
+                          np.empty((d, d), dtype=complex))
 
 
 def _hermitian_scrub(matrix: np.ndarray) -> None:
@@ -460,21 +455,23 @@ def _hermitian_scrub(matrix: np.ndarray) -> None:
     Each band's rows and columns are summed and halved before either is
     written, columns first, each entry from the same operations as the
     whole-matrix expression; the columns are not taken as the conjugate of
-    the rows, which would flip the sign of a zero imaginary part.  Beside
+    the rows, which would flip the sign of a zero imaginary part.  A band is
+    copied from its transpose, which numpy's ufuncs would buffer, so beside
     the matrix it holds two band arrays of at most max(_BAND, p+1) entries.
     """
     d = len(matrix)
     width = max(1, _BAND // d)
     for a in range(0, d, width):
         b = min(a + width, d)
-        rows = matrix[a:, a:b].T.conj()
-        np.add(matrix[a:b, a:], rows, out=rows)
-        cols = matrix[a:b, a:].T.conj()
-        np.add(matrix[a:, a:b], cols, out=cols)
-        np.multiply(0.5, rows, out=rows)
-        np.multiply(0.5, cols, out=cols)
-        matrix[a:, a:b] = cols
-        matrix[a:b, a:] = rows
+        top, left = matrix[a:b, a:], matrix[a:, a:b]  # the band's rows and columns
+        rows, cols = np.empty(top.shape, dtype=complex), np.empty(left.shape, dtype=complex)
+        for band, own, mirror in ((rows, top, left), (cols, left, top)):
+            np.copyto(band, mirror.T)
+            np.conjugate(band, out=band)
+            np.add(own, band, out=band)
+            np.multiply(0.5, band, out=band)
+        left[...] = cols
+        top[...] = rows
 
 
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
@@ -483,10 +480,8 @@ def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOper
     Only the equally-spaced spectrum admits orthogonal time states, so only
     there does the dial observable collapse to a Hermitian operator.  The
     dial times are ClockPOVM(spec, p, tau_0).tau_grid; a dial whose times or
-    their sum overflow the float range is refused.  The operator is built
-    and scrubbed Hermitian in its one buffer, so the call peaks at 16 B per
-    entry and a scrub band.  eigenvalues() hands the matrix to LAPACK, whose
-    working copy is allocated outside numpy and so outside tracemalloc.
+    their sum overflow the float range is refused.  The operator is built and
+    scrubbed Hermitian in its one buffer, whose peak the module docstring gives.
     """
     if spec.kind is not SpectrumKind.EQUALLY_SPACED:
         raise UnsupportedSpectrum(
@@ -505,9 +500,10 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
     raises.  Either way tau_hat generates energy shifts.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * delta_e * op.povm.tau_grid / op.povm.spectrum.hbar)
-    if not np.isfinite(phases).all():
-        raise InvalidArgument(f"energy shift {delta_e!r} gives non-finite phases")
+        phases = (np.exp(-1j * delta_e * op.povm.tau_grid / op.povm.spectrum.hbar)
+                  if _finite(delta_e) else None)
+    if phases is None or not np.isfinite(phases).all():
+        raise InvalidArgument(f"energy shift {spell(delta_e)} gives non-finite phases")
     return _dial_circulant(op.povm, phases)
 
 
@@ -543,7 +539,7 @@ def first_orthogonal_time(spec: ClockSpectrum, *,
     w_n = E_n/hbar, the last term a rounding allowance (the module docstring sets out
     the search).  None certifies |S| >= _ZERO_TOL on (0, T - h], on all of (0, T) if exact.
     """
-    if not isinstance(samples_per_cycle, (int, np.integer)) or samples_per_cycle < 1:
+    if not isinstance(samples_per_cycle, _INTEGERS) or samples_per_cycle < 1:
         raise InvalidArgument(f"samples_per_cycle must be an int >= 1, got {samples_per_cycle!r}")
     n_grid = max(512, int(samples_per_cycle) * (spec.r[-1] + 1))
     _charge((24 if spec.has_exact_integers else 17) * n_grid, f"a scan of {n_grid} points")

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all qclock modules.
+"""Exception hierarchy shared by all qclock modules, and the input rules they share.
 
 Every exception carries a short machine-readable ``code`` so the command-line
 front end can emit structured error messages and map failures to exit codes.
 """
+
+import math
+import numbers
+
+import numpy as np
+
+_INTEGERS = (int, np.integer)  # the types of an integer argument: a float, even 4.0, is none
 
 
 class QClockError(Exception):
@@ -65,9 +72,22 @@ class DegenerateClock(QClockError):
     code = "degenerate-clock"
 
 
+def _finite(x):
+    """True where x, a number or a numpy column, is a real number float64 holds finitely:
+    not nan, inf, an int or Fraction past the range, or a str.  It never raises."""
+    if isinstance(x, np.ndarray):
+        return np.isfinite(x)
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:  # it rounds past the float64 range
+        return False
+
+
 def spell(value) -> str:
     """repr(value), or the sign and size of an int too long to spell in decimal."""
     try:
         return repr(value)
     except ValueError:  # past the interpreter's limit on the digits of an int
+        if not isinstance(value, int):  # a Fraction of such ints, say
+            return f"<a {type(value).__name__} too long to spell>"
         return f"<{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits>"

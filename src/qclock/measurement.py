@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clockstates import ClockPOVM, TimeState, _blocks, _dial_rows
-from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution,
-                     NoEstimate, spell)
+from .errors import (_INTEGERS, IncompatibleStates, InvalidArgument,
+                     InvalidDistribution, NoEstimate, spell)
 from .spectrum import _charge
 
 # tolerated drift of sum(P) away from 1 before a distribution is rejected
@@ -45,18 +45,23 @@ SAMPLE_CHUNK = 2**20
 SAMPLER = "numpy-default_rng-pcg64/inverse-cdf/sorted-chunks-2^20"
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype, shared when it is one already.
+def _per_dial_time(owner, name: str, dtype) -> np.ndarray:
+    """owner.name, set to a read-only array of dtype and refused unless it holds one
+    value per dial time of owner.povm; shared when it is such an array already.
 
     Only an array that owns its data is shared: a read-only view could still
     change through its writable base.  A caller's writable array is copied,
     never frozen.
     """
-    if (isinstance(values, np.ndarray) and values.dtype == dtype
+    values = getattr(owner, name)
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
             and not values.flags.writeable and values.flags.owndata):
-        return values
-    values = np.array(values, dtype=dtype)
-    values.setflags(write=False)
+        values = np.array(values, dtype=dtype)
+        values.setflags(write=False)
+    object.__setattr__(owner, name, values)
+    if values.shape != (owner.povm.n_outcomes,):
+        raise InvalidArgument(f"{name} and the dial's {owner.povm.n_outcomes} times "
+                              "must be equal-length vectors")
     return values
 
 
@@ -68,11 +73,7 @@ class OutcomeDistribution:
     povm: ClockPOVM
 
     def __post_init__(self):
-        probs = _read_only(self.probs, np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (self.povm.n_outcomes,):
-            raise InvalidArgument(
-                f"probs and the dial's {self.povm.n_outcomes} times must be equal-length vectors")
+        probs = _per_dial_time(self, "probs", np.float64)
         if not np.isfinite(probs).all():
             raise InvalidDistribution("probabilities must be finite")
         if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
@@ -91,11 +92,7 @@ class MeasurementRecord:
     estimate_error: float | None = None
 
     def __post_init__(self):
-        counts = _read_only(self.counts, np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.shape != (self.povm.n_outcomes,):
-            raise InvalidArgument(
-                f"counts and the dial's {self.povm.n_outcomes} times must be equal-length vectors")
+        counts = _per_dial_time(self, "counts", np.int64)
         if self.shots < 1:
             raise InvalidArgument(f"shots must be >= 1, got {self.shots}")
         if counts.min() < 0:
@@ -112,7 +109,7 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
     """
     spec = povm.spectrum
     if isinstance(state, TimeState):
-        if state.spectrum is not spec and not state.spectrum.same_as(spec):
+        if not state.spectrum.same_as(spec):
             raise IncompatibleStates("state and POVM belong to different spectra")
         psi = state.amplitudes
     else:
@@ -144,10 +141,9 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecord:
     """Inverse-CDF sampling; identical (dist, shots, seed) gives identical counts."""
-    if shots < 1:
-        raise InvalidArgument(f"shots must be >= 1, got {shots}")
-    if seed < 0:  # PCG64 seeds are non-negative integers
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):  # PCG64 seeds are >= 0
+        if not isinstance(value, _INTEGERS) or value < least:
+            raise InvalidArgument(f"{name} must be an integer >= {least}, got {spell(value)}")
     total = float(dist.probs.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise InvalidDistribution(

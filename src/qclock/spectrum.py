@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgument, spell
+from .errors import _INTEGERS, CapacityError, InvalidArgument, _finite, spell
 from .units import ConstantsSet, natural_units
 
 # r_p above this budget aborts spectrum construction.
@@ -62,15 +62,26 @@ class RationalRatio:
 
     def __post_init__(self):
         if self.B < 1:
-            raise InvalidArgument(f"denominator must be >= 1, got {self.B}")
+            raise InvalidArgument(f"denominator must be >= 1, got {spell(self.B)}")
         if self.C < 0:
-            raise InvalidArgument(f"numerator must be >= 0, got {self.C}")
+            raise InvalidArgument(f"numerator must be >= 0, got {spell(self.C)}")
         if math.gcd(self.C, self.B) != 1:
-            raise InvalidArgument(f"{self.C}/{self.B} is not reduced")
+            raise InvalidArgument(f"{spell(self.C)}/{spell(self.B)} is not reduced")
 
     @classmethod
     def from_fraction(cls, frac: Fraction) -> "RationalRatio":
         return cls(frac.numerator, frac.denominator)
+
+    @classmethod
+    def parse(cls, text: str) -> "RationalRatio":
+        """The ratio spelled C/B, as a spectrum file and --ratios spell it."""
+        c_text, _, b_text = text.partition("/")
+        try:
+            c, b = int(c_text), int(b_text)
+        except ValueError:  # before cls(c, b), whose InvalidArgument is a ValueError too
+            raise InvalidArgument(
+                f"ratio {text!r} must look like C/B, with integers C and B") from None
+        return cls(c, b)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.C, self.B)
@@ -100,24 +111,16 @@ class ClockSpectrum:
     epsilon: float | None = None
 
     def __post_init__(self):
-        levels = np.array(self.levels, dtype=float)
-        levels.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", levels := _checked_levels(self.levels))
         object.__setattr__(self, "r", tuple(int(x) for x in self.r))
-        if levels.ndim != 1 or len(levels) < 2:
-            raise InvalidArgument("spectrum needs at least two levels (p >= 1)")
         if len(self.r) != len(levels):
             raise InvalidArgument("levels and r must have equal length")
-        if levels[0] != 0.0:
-            raise InvalidArgument("lowest level must be exactly 0")
-        if not (np.all(np.diff(levels) > 0) and math.isfinite(levels[-1])):
-            raise InvalidArgument("levels must be finite and strictly increasing (non-degenerate)")
         if self.r[0] != 0 or any(b <= a for a, b in zip(self.r, self.r[1:])):
             raise InvalidArgument("r must be strictly increasing from 0")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise InvalidArgument(f"period must be positive, got {self.T!r}")
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise InvalidArgument(f"hbar must be positive, got {self.hbar!r}")
+        if not (_finite(self.T) and self.T > 0):
+            raise InvalidArgument(f"period must be positive, got {spell(self.T)}")
+        if not (_finite(self.hbar) and self.hbar > 0):
+            raise InvalidArgument(f"hbar must be positive, got {spell(self.hbar)}")
 
     @property
     def p(self) -> int:
@@ -134,7 +137,7 @@ class ClockSpectrum:
 
     def same_as(self, other: "ClockSpectrum") -> bool:
         """Value equality: states built from equal spectra are interoperable."""
-        return (
+        return self is other or (
             self.kind == other.kind
             and self.r == other.r
             and self.T == other.T
@@ -142,6 +145,19 @@ class ClockSpectrum:
             and self.levels.shape == other.levels.shape
             and bool(np.all(self.levels == other.levels))
         )
+
+
+def _checked_levels(levels) -> np.ndarray:
+    """levels as a read-only float64 array, refused unless finite 0 = E_0 < ... < E_p."""
+    levels = np.array(levels, dtype=float)
+    levels.setflags(write=False)
+    if levels.ndim != 1 or len(levels) < 2:
+        raise InvalidArgument("spectrum needs at least two levels (p >= 1)")
+    if levels[0] != 0.0:
+        raise InvalidArgument("lowest level must be exactly 0")
+    if not (np.all(levels[1:] > levels[:-1]) and _finite(levels[-1])):
+        raise InvalidArgument("levels must be finite and strictly increasing (non-degenerate)")
+    return levels
 
 
 def max_integer(spec: ClockSpectrum) -> int:
@@ -152,11 +168,11 @@ def max_integer(spec: ClockSpectrum) -> int:
 def build_equally_spaced(p: int, T: float, consts: ConstantsSet | None = None) -> ClockSpectrum:
     """Equally-spaced spectrum E_n = 2*pi*hbar*n/T with r_n = n."""
     consts = consts or natural_units()
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise InvalidArgument(f"p must be an integer >= 1, got {p!r}")
-    if not (T > 0 and math.isfinite(T)):
-        raise InvalidArgument(f"T must be positive, got {T!r}")
-    # per level: levels, copy, diff and mask (25 B), two r tuples (16 B), an int (32 B)
+    if not isinstance(p, _INTEGERS) or p < 1:
+        raise InvalidArgument(f"p must be an integer >= 1, got {spell(p)}")
+    if not (_finite(T) and T > 0):
+        raise InvalidArgument(f"T must be positive, got {spell(T)}")
+    # per level: levels, arange, copy and mask (25 B), two r tuples (16 B), an int (32 B)
     _charge(73 * (p + 1), f"an equally spaced spectrum of {p + 1} levels")
     step = 2.0 * math.pi * consts.hbar / T
     if not (step > 0.0 and step * p < math.inf):
@@ -184,7 +200,7 @@ def _integers_from_ratios(ratios: Sequence[RationalRatio]) -> tuple[int, ...]:
     for f in fracs:
         rn = r1 * f.numerator // f.denominator
         if rn > DEFAULT_INTEGER_BUDGET:
-            raise CapacityError(f"r_n = {rn} exceeds {budget}")
+            raise CapacityError(f"r_n = {spell(rn)} exceeds {budget}")
         r.append(rn)
     return tuple(r)
 
@@ -205,8 +221,8 @@ def build_rational(ratios: Sequence[RationalRatio], e1: float,
     p = len(ratios) + 1.  An empty ratio list yields the two-level clock.
     """
     consts = consts or natural_units()
-    if not (e1 > 0 and math.isfinite(e1)):
-        raise InvalidArgument(f"E_1 must be positive, got {e1!r}")
+    if not (_finite(e1) and e1 > 0):
+        raise InvalidArgument(f"E_1 must be positive, got {spell(e1)}")
     ratios = list(ratios)
     r = _integers_from_ratios(ratios)
     r1 = r[1]
@@ -247,15 +263,9 @@ def rationalize(levels: Sequence[float], epsilon: float) -> tuple[list[RationalR
     epsilon of it.  Returns the ratios and the largest approximation error
     actually achieved (0 when every ratio is exactly representable).
     """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon!r}")
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or len(levels) < 2:
-        raise InvalidArgument("need at least two levels (p >= 1)")
-    if levels[0] != 0.0:
-        raise InvalidArgument("lowest level must be exactly 0")
-    if not (np.all(np.diff(levels) > 0) and math.isfinite(levels[-1])):
-        raise InvalidArgument("levels must be finite and strictly increasing")
+    if not (_finite(epsilon) and epsilon > 0):
+        raise InvalidArgument(f"epsilon must be positive, got {spell(epsilon)}")
+    levels = _checked_levels(levels)
     eps = Fraction(epsilon)
     ratios: list[RationalRatio] = []
     worst = Fraction(0)
@@ -277,7 +287,6 @@ def rationalized_spectrum(levels: Sequence[float], epsilon: float,
     it is exact.
     """
     consts = consts or natural_units()
-    levels = np.asarray(levels, dtype=float)
     ratios, _ = rationalize(levels, epsilon)
     r = _integers_from_ratios(ratios)
     T = _period(consts, r[1], float(levels[1]))
@@ -298,10 +307,7 @@ def dump_spectrum(spec: ClockSpectrum) -> str:
     lines = [f"{kind} {spec.p} {spec.T!r}"]
     if spec.kind is SpectrumKind.RATIONAL:
         lines.append(repr(float(spec.levels[1])))
-        r1 = spec.r[1]
-        for rn in spec.r[2:]:
-            frac = Fraction(rn, r1)
-            lines.append(f"{frac.numerator}/{frac.denominator}")
+        lines.extend(str(RationalRatio.from_fraction(Fraction(rn, spec.r[1]))) for rn in spec.r[2:])
     else:
         lines.extend(repr(float(e)) for e in spec.levels[1:])
     return "\n".join(lines) + "\n"
@@ -335,13 +341,7 @@ def parse_spectrum(text: str, consts: ConstantsSet | None = None) -> ClockSpectr
                     "was the file written under different constants?")
         elif kind_text == SpectrumKind.RATIONAL.value:
             e1 = float(body[0])
-            ratios = []
-            for line in body[1:]:
-                if "/" not in line:
-                    raise InvalidArgument(f"expected C/B ratio, got {line!r}")
-                c_text, _, b_text = line.partition("/")
-                ratios.append(RationalRatio(int(c_text), int(b_text)))
-            spec = build_rational(ratios, e1, consts)
+            spec = build_rational([RationalRatio.parse(line) for line in body[1:]], e1, consts)
         elif kind_text.startswith(SpectrumKind.RATIONALIZED.value + ":"):
             epsilon = float(kind_text.split(":", 1)[1])
             levels = np.concatenate([[0.0], [float(x) for x in body]])

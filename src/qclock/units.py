@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import InvalidConstants
+from .errors import InvalidConstants, _finite, spell
 
 # CODATA 2018 recommended values (https://physics.nist.gov/cuu/Constants/).
 # c and hbar are exact by the 2019 SI redefinition; G is the recommended value.
@@ -41,9 +41,9 @@ class ConstantsSet:
 
     def __post_init__(self):
         for name in ("hbar", "c", "G"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidConstants(f"{name} must be a positive finite number, got {value!r}")
+            if not (_finite(value := getattr(self, name)) and value > 0.0):
+                raise InvalidConstants(
+                    f"{name} must be a positive finite number, got {spell(value)}")
         if self.mode not in ("SI", "natural"):
             raise InvalidConstants(f"unknown unit mode {self.mode!r}")
         if self.mode == "natural" and not (self.hbar == self.c == self.G == 1.0):

@@ -14,7 +14,7 @@ from qclock import (CapacityError, ClockPOVM, ClockSpectrum, SpectrumKind,
                     build_equally_spaced, cli, continuous_identity_residual,
                     energy_shift_unitary, first_orthogonal_time, frame_operator,
                     grid_amplitudes, hermitian_time_operator, identity_residual,
-                    spectrum)
+                    outcome_probabilities, spectrum, time_state)
 
 from oracles import (dial_circulant_gathered, frame_dense, frame_residual_dense,
                      hermitian_scrub_dense)
@@ -197,6 +197,24 @@ def test_the_budget_keeps_gathered_dial_indices_in_int64():
     # a gathered dial holds a 16 B twiddle per point, so its N is at most
     # budget/16, and the gather index (r_n mod N) m stays below N^2
     assert (spectrum._BYTE_BUDGET // 16) ** 2 < 2**63
+
+
+def test_a_gathered_dial_past_the_int64_index_is_refused_whatever_the_budget(monkeypatch):
+    # under a budget large enough to admit it, a z whose index (r_n mod (z+1)) m,
+    # at most z^2, could reach 2^63 is refused before the twiddle table is allocated
+    z = math.isqrt(2**63 - 1) + 1
+    assert (z - 1) ** 2 < 2**63 <= z ** 2
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", 2**80)
+    spec = build_equally_spaced(3, 1.0)
+    povm = ClockPOVM(spec, z)
+    for call in (lambda: outcome_probabilities(time_state(spec, 0.3), povm),
+                 lambda: grid_amplitudes(spec, povm.z)):
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match="int64 gather index"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_the_exact_residual_is_never_charged(tmp_path, capsys):

@@ -696,6 +696,22 @@ def test_a_z_past_the_float_range_is_refused(tmp_path, capsys, command, route):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("ratios, message", [
+    ("6/4", "6/4 is not reduced"),
+    ("5/3,7/-2", "denominator must be >= 1, got -2"),
+    ("5/3, x", "ratio ' x' must look like C/B, with integers C and B"),
+])
+def test_a_ratio_is_refused_by_the_ratio_parser(tmp_path, capsys, ratios, message):
+    # --ratios and a spectrum file read ratios with RationalRatio.parse, whose
+    # own refusal reaches stderr
+    code, out, err = run_cli(capsys, "build", "--kind", "rational", "--ratios", ratios,
+                             "--e1", "1", "--units", "natural",
+                             "--spectrum-out", str(tmp_path / "r.spec"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "invalid-argument", "message": message}
+    assert not (tmp_path / "r.spec").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_measure_with_overflowing_dial_phases_writes_nothing(tmp_path, capsys):
     spec = build_file(tmp_path, capsys, "irr.spec", "--kind", "rationalized",

@@ -133,6 +133,33 @@ def test_rational_rejects_nonreduced():
         RationalRatio(6, 4)
 
 
+# text -> the ratio RationalRatio.parse reads, or the words of its refusal
+RATIO_TEXTS = {
+    "5/3": RationalRatio(5, 3), " 7 / 2 ": RationalRatio(7, 2), "0/1": RationalRatio(0, 1),
+    "6/4": "6/4 is not reduced", "5/-3": "denominator must be >= 1, got -3",
+    "3/0": "denominator must be >= 1, got 0", "-1/2": "numerator must be >= 0, got -1",
+    "3": "ratio '3' must look like C/B", "3/x": "ratio '3/x' must look like C/B",
+    "3/2/1": "ratio '3/2/1' must look like C/B", "": "ratio '' must look like C/B",
+}
+
+
+@pytest.mark.parametrize("text", sorted(RATIO_TEXTS))
+def test_one_parser_reads_every_ratio(text):
+    expected = RATIO_TEXTS[text]
+    if isinstance(expected, RationalRatio):
+        assert RationalRatio.parse(text) == expected
+        return
+    with pytest.raises(InvalidArgument) as info:
+        RationalRatio.parse(text)
+    assert str(info.value).startswith(expected)
+    if not text:
+        return  # a spectrum file has no empty lines
+    # a spectrum file's ratio line goes through the same parser
+    with pytest.raises(InvalidArgument) as info:
+        parse_spectrum(f"rational 2 {2 * math.pi * 3!r}\n1.0\n{text}\n")
+    assert str(info.value).startswith(expected)
+
+
 def test_rational_rejects_nonincreasing(nat):
     with pytest.raises(InvalidArgument):
         build_rational([RationalRatio(3, 1), RationalRatio(2, 1)], 1.0, nat)
@@ -209,6 +236,21 @@ def test_rationalize_rejects_bad_input():
         rationalize([0.5, 1.0, 2.0], 1e-3)  # E_0 != 0
     with pytest.raises(InvalidArgument):
         rationalize([0.0, 2.0, 1.0], 1e-3)  # not increasing
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([0.0], "spectrum needs at least two levels (p >= 1)"),
+    ([0.5, 1.0], "lowest level must be exactly 0"),
+    ([0.0, 2.0, 1.0], "levels must be finite and strictly increasing (non-degenerate)"),
+    ([0.0, 1.0, math.inf], "levels must be finite and strictly increasing (non-degenerate)"),
+])
+def test_rationalize_and_the_spectrum_share_one_level_check(levels, message):
+    for call in (lambda: rationalize(levels, 1e-3),
+                 lambda: ClockSpectrum(levels, range(len(levels)), 1.0, 1.0,
+                                       SpectrumKind.RATIONALIZED, 1e-3)):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_rationalized_spectrum_keeps_original_levels(nat):
