@@ -434,17 +434,19 @@ def _bound_columns(consts: ConstantsSet, spectrum, l_C, m_rest, m=None, theta=No
                 refuse()
             break
     p, r_p = spec.p, None if spec.kind is SpectrumKind.EQUALLY_SPACED else spec.r[-1]
+    theta = T if theta is None else theta  # one float64 cannot hold: nan, spelled as given
+    shown = None if isinstance(theta, np.ndarray) or _finite(theta) else spell(theta)
     l_C, m_rest, m, theta, T = (np.asarray(x, dtype=float).reshape(-1) for x in
                                 (l_C, m_rest, m_rest if m is None else m,
-                                 T if theta is None else theta, T))
+                                 math.nan if shown else theta, T))
     n = max(x.size for x in (l_C, m_rest, m, theta, T))
 
     with np.errstate(all="ignore"):  # rows at fault compute nan and inf, then are refused
         for check, x in zip(_BODY_CHECKS, (l_C, m_rest, m)):
             require(_BODY, check, x)
         note_first(_THETA, (0.0 < theta) & (theta <= T), InvalidArgument,
-                   lambda i: "operational time must lie in (0, T] = (0, {!r}], got {!r}".format(
-                       *(x[i].item() for x in np.broadcast_arrays(T, theta))))
+                   lambda i: "operational time must lie in (0, T] = (0, {!r}], got {}".format(
+                       T[i % T.size].item(), shown or repr(theta[i % theta.size].item())))
         try:
             zp1 = _dial_states(spec.r[-1] if z is None else z, p, r_p)
         except InvalidArgument as exc:

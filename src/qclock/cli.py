@@ -12,14 +12,14 @@ Every JSON document carries the tool version, unit mode, and the fully
 resolved configuration; stochastic runs carry their seed.  Floats are printed
 as their shortest round-trip ``repr`` (``0.3``, ``100.0``), so records parse
 back to the same bits.  Each JSON document is the text of
-``json.dump(document, sort_keys=True, indent=2)``, streamed from numpy slices
-of 4096 values so that long records never become one string, and a document
-holding nan or inf is refused before any of it is written.  No document holds
-a float array.  An integer array, and the rows of the ``measure`` CSV, are
-spelled in numpy without a Python string per value: each row is a line of
-NUL-padded four-byte cells, its digits gathered four at a time from a table of
-the spellings of 0..9999 and its separators and tails from tables of their
-own, and the slice is written with every NUL removed.
+``json.dump(document, sort_keys=True, indent=2)``, streamed from numpy windows
+of clockstates._BLOCK (2^12) values so that long records never become one
+string, and a document holding nan or inf is refused before any of it is
+written.  No document holds a float array.  An integer array, and the rows of
+the ``measure`` CSV, are spelled in numpy without a Python string per value:
+each row is a line of NUL-padded four-byte cells, its digits gathered four at
+a time from a table of the spellings of 0..9999 and its separators and tails
+from tables of their own, and the window is written with every NUL removed.
 
 The ``measure`` document is version 2 (``"schema": 2``).  It states the dial
 instead of listing it: ``result.dial`` holds ``tau0``, ``T``, ``n_outcomes``
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BindingBound, ClockBody, _bound_columns, bound_report
-from .clockstates import ClockPOVM, identity_residual, time_state
+from .clockstates import ClockPOVM, _blocks, identity_residual, time_state
 from .errors import InvalidArgument, NoEstimate, QClockError, _finite
 from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
 from .spectrum import (ClockSpectrum, RationalRatio, _charge,
@@ -61,10 +61,6 @@ from .units import resolve_constants
 
 
 # --- deterministic JSON: sorted keys, two-space indent, repr floats ----------
-
-# values per slice when an array or CSV is written: memory stays bounded by the
-# slice, not by the document
-_SLICE = 4096
 
 
 def _check_finite(value) -> None:
@@ -154,8 +150,8 @@ def _write_value(value, fh, pad: str) -> None:
         fh.write(f"\n{pad}}}")
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "i":
         glue = _cells(",\n" + inner)[0]
-        for start in range(0, value.size, _SLICE):
-            text = _spell_rows(value[start:start + _SLICE], before=glue).decode("ascii")
+        for start, stop in _blocks(value.size):
+            text = _spell_rows(value[start:stop], before=glue).decode("ascii")
             fh.write("[" + text[1:] if start == 0 else text)  # no comma before the first
         fh.write(f"\n{pad}]" if value.size else "[]")
     else:
@@ -169,7 +165,7 @@ def _write(document: dict, fh) -> None:
 
     For dicts with str keys, the text is that of ``json.dump(document, fh,
     sort_keys=True, indent=2)`` plus a newline; a 1-D integer numpy array is
-    written as a list, one slice at a time.  Every value is checked before the
+    written as a list, one window at a time.  Every value is checked before the
     first write, so a refused document leaves nothing behind.
     """
     _check_finite(document)
@@ -315,12 +311,12 @@ def _state_from_flag(text: str, spec: ClockSpectrum, povm: ClockPOVM):
 
 
 def _write_histogram(record, path: str) -> None:
-    """The csv.writer text of rows (m, count, count/shots), slice by slice.
+    """The csv.writer text of rows (m, count, count/shots), window by window.
 
     Lines end in CRLF, the csv default dialect; no number spelling needs
     quoting.  Only a few distinct counts occur, so the tail of a line, from the
     comma before the count on, is spelled once per count and gathered into the
-    rows that _spell_rows spells.  A slice finds its tails in a table indexed
+    rows that _spell_rows spells.  A window finds its tails in a table indexed
     by count, made by bincount while it is no longer than the record (shots
     are not capped, so one bin may hold them all), else by a binary search.
     The dial times are not listed: the JSON record's result.dial states them.
@@ -334,8 +330,7 @@ def _write_histogram(record, path: str) -> None:
     tails = _cells(*(f",{k},{k / record.shots!r}\r\n" for k in distinct.tolist()))
     with open(path, "wb") as fh:
         fh.write(b"m,count,frequency\r\n")
-        for start in range(0, counts.size, _SLICE):
-            stop = min(start + _SLICE, counts.size)
+        for start, stop in _blocks(counts.size):
             part = counts[start:stop]
             index = np.searchsorted(distinct, part) if where is None else where[part]
             fh.write(_spell_rows(np.arange(start, stop), after=np.take(tails, index, axis=0)))
@@ -389,8 +384,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# rows of the sweep CSV spelled at a time, as Python floats about 250 B a row
-_SWEEP_ROWS = 64
 # the sweep CSV's columns between the swept value and the binding bound
 _SWEEP_BOUNDS = ("delta_tau_min", "structural_dt", "speed_limit_dt", "spreading_dt",
                  "fundamental_dt", "mass_limit")
@@ -422,8 +415,8 @@ def cmd_sweep(args) -> int:
         raise InvalidArgument("sweeping T requires the --p route, not --spectrum")
     # per step, held until the CSV is written: the swept value, at most six
     # float64 columns of bounds and delta_x_opt (a T sweep holds the most) and
-    # the binding as int8, 57 B.  tracemalloc reads 101 B per step at 4000
-    # steps of a T sweep and 85 B of a theta sweep, with about 180 kB that do
+    # the binding as int8, 57 B.  tracemalloc reads 98 B per step at 4000
+    # steps of a T sweep and 82 B of a theta sweep, with about 180 kB that do
     # not grow with the steps, most of it the CSV file's write buffer
     _charge(112 * steps, f"a sweep of {steps} steps")
     grid = np.linspace(lo, hi, steps)
@@ -437,15 +430,12 @@ def cmd_sweep(args) -> int:
                 else _spectrum_from_args(args, consts))
     columns = _bound_columns(consts, spectrum, given["lc"], given["mrest"], given["mass"],
                              given["theta"], args.z, label=label)
-    table = [grid, *(columns[name] for name in _SWEEP_BOUNDS)]
     names = [binding.value for binding in BindingBound]
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([param, *_SWEEP_BOUNDS, "binding"])
-        for start in range(0, steps, _SWEEP_ROWS):
-            part = slice(start, start + _SWEEP_ROWS)
-            writer.writerows(zip(*(column[part].tolist() for column in table),
-                                 [names[k] for k in columns["binding"][part].tolist()]))
+        writer.writerows(zip(map(float, grid), *(map(float, columns[n]) for n in _SWEEP_BOUNDS),
+                             (names[k] for k in columns["binding"])))  # a row at a time
     config = {"command": "sweep", "sweep": args.sweep, "lc": args.lc,
               "mrest": args.mrest, "mass": args.mass, "p": args.p, "T": args.T,
               "spectrum": args.spectrum, "z": args.z, "theta": args.theta,

@@ -61,9 +61,9 @@ Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 Each dense (p+1)^2 operator is built in its own buffer: every step of the
 whole-matrix expression it stands for is worked in place, or a band at a
 time, in that expression's operand order, so the result has the same bits.
-The time operator and its energy shifts peak at 16 B per entry and one
-scrub band, the frame operator at about 41 B per entry.  eigvalsh copies
-its matrix inside LAPACK, in memory numpy does not allocate, which
+The time operator and its energy shifts peak at 16 B per entry and 48 B per
+entry of one scrub band, the frame operator at about 41 B per entry.  eigvalsh
+copies its matrix inside LAPACK, in memory numpy does not allocate, which
 tracemalloc does not see and no charge counts.
 
 Every dial entry point builds its dial as a ClockPOVM, the one check of z
@@ -73,8 +73,8 @@ rationalized residual take z+1 <= 2^62; the exact residual takes any z.
 All operations are pure.  A path whose arrays grow with z, N or p is charged
 its peak in bytes by spectrum._charge before it allocates; the exact residual,
 O(p+1), is not.  The dense grid is built only on request (grid_amplitudes);
-measurement folds the grid one row and one window of _BLOCK dial times at a
-time and never holds it.
+measurement folds the grid one row and one window of _BLOCK = 2^12 dial
+times at a time and never holds it.  Every windowed pass walks _blocks.
 """
 
 from __future__ import annotations
@@ -91,15 +91,12 @@ from .errors import (_INTEGERS, CapacityError, IncompatibleStates, InvalidArgume
                      UnsupportedSpectrum, _finite, spell)
 from .spectrum import ClockSpectrum, SpectrumKind, _charge
 
-# dial times a measurement works on at a time.  A power of two, so every
-# window starts on a SIMD lane boundary and an elementwise pass over the
-# windows rounds each entry as one pass over the whole dial would.
-_BLOCK = 2**14
+# entries a windowed pass holds at a time: dial times, scan steps, written values,
+# a scrub band's entries.  A power of two, so every window starts on a SIMD lane
+# boundary and an elementwise pass rounds each entry as one whole-array pass would.
+_BLOCK = 2**12
 # |overlap| below which a polished minimum counts as an orthogonal dial time
 _ZERO_TOL = 1e-9
-# entries in each of the two arrays of a Hermitian scrub band: 2^12 // (p+1)
-# rows and columns at a time, at least one
-_BAND = 2**12
 
 
 def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
@@ -121,9 +118,9 @@ def _turns_single(spec: ClockSpectrum, tau) -> np.ndarray:
 
 
 def _blocks(n: int):
-    """The windows [start, stop) that cover range(n), _BLOCK dial times each.
+    """The windows [start, stop) that cover range(n), _BLOCK entries each.
 
-    A last window of one dial time joins the window before it: numpy takes a
+    A last window of one entry joins the window before it: numpy takes a
     one-element array times a scalar down its scalar path, which rounds
     without the fused multiply-add that the SIMD tail of a longer pass uses.
     """
@@ -435,11 +432,11 @@ def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
     phases of row n are multiplied by a slice of c reversed twice over, c[n],
     c[n-1], ... mod p+1, so the operator is built in its one buffer of 16 B
     per entry, with no index matrix or gathered copy.  The charge also
-    covers the band of hermitian_time_operator's scrub.  An f that is not
-    finite, or whose sums overflow, is refused.
+    covers the three band arrays of hermitian_time_operator's scrub.  An f
+    that is not finite, or whose sums overflow, is refused.
     """
     spec, d = povm.spectrum, povm.spectrum.dimension
-    _charge(16 * d * d + 32 * max(1, _BAND // d) * d, "a dial operator")
+    _charge(16 * d * d + 48 * max(1, _BLOCK // d) * d, "a dial operator")
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.fft.fft(f) / d
     if not np.isfinite(c).all():
@@ -450,28 +447,29 @@ def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
 
 
 def _hermitian_scrub(matrix: np.ndarray) -> None:
-    """matrix <- (matrix + matrix^H)/2 in place, a band of rows and columns [a, b) at a time.
+    """matrix <- (matrix + matrix^H)/2 in place, a band of rows and columns at a time.
 
     Each band's rows and columns are summed and halved before either is
     written, columns first, each entry from the same operations as the
     whole-matrix expression; the columns are not taken as the conjugate of
-    the rows, which would flip the sign of a zero imaginary part.  A band is
-    copied from its transpose, which numpy's ufuncs would buffer, so beside
-    the matrix it holds two band arrays of at most max(_BAND, p+1) entries.
+    the rows, which would flip the sign of a zero imaginary part.  numpy's ufuncs
+    buffer a strided 2-d operand, so a band's mirror and own entries are first
+    copied into two of three band arrays of max(1, _BLOCK // (p+1)) rows, made once.
     """
     d = len(matrix)
-    width = max(1, _BAND // d)
+    width = min(max(1, _BLOCK // d), d)
+    buffers = np.empty((3, width * d), dtype=complex)
     for a in range(0, d, width):
-        b = min(a + width, d)
-        top, left = matrix[a:b, a:], matrix[a:, a:b]  # the band's rows and columns
-        rows, cols = np.empty(top.shape, dtype=complex), np.empty(left.shape, dtype=complex)
+        top, left = matrix[a:a + width, a:], matrix[a:, a:a + width]  # the band's rows, columns
+        rows, cols, mine = buffers[:, :top.size]
+        rows, cols = rows.reshape(top.shape), cols.reshape(left.shape)
         for band, own, mirror in ((rows, top, left), (cols, left, top)):
             np.copyto(band, mirror.T)
             np.conjugate(band, out=band)
-            np.add(own, band, out=band)
+            np.copyto(contiguous := mine.reshape(own.shape), own)
+            np.add(contiguous, band, out=band)
             np.multiply(0.5, band, out=band)
-        left[...] = cols
-        top[...] = rows
+        left[...], top[...] = cols, rows
 
 
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
@@ -540,7 +538,8 @@ def first_orthogonal_time(spec: ClockSpectrum, *,
     the search).  None certifies |S| >= _ZERO_TOL on (0, T - h], on all of (0, T) if exact.
     """
     if not isinstance(samples_per_cycle, _INTEGERS) or samples_per_cycle < 1:
-        raise InvalidArgument(f"samples_per_cycle must be an int >= 1, got {samples_per_cycle!r}")
+        raise InvalidArgument(
+            f"samples_per_cycle must be an int >= 1, got {spell(samples_per_cycle)}")
     n_grid = max(512, int(samples_per_cycle) * (spec.r[-1] + 1))
     _charge((24 if spec.has_exact_integers else 17) * n_grid, f"a scan of {n_grid} points")
     with np.errstate(over="ignore"):  # an E_n/hbar past the float range is refused
@@ -550,10 +549,10 @@ def first_orthogonal_time(spec: ClockSpectrum, *,
         raise InvalidArgument("phase frequencies E_n/hbar overflow the orthogonality search")
     slack = _ZERO_TOL + 4 * np.finfo(float).eps * (spec.dimension + spec.T * w[-1])
     s = _scan_overlaps(spec, n_grid)
-    for i in range(0, len(s) - 1, _BLOCK):
-        g = abs(v := s[i:i + _BLOCK + 1])  # (|S_k| + |S_k+1| - |S_k+1 - S_k|)/2 <= chord distance
+    for start, stop in _blocks(len(s) - 1):  # the steps [k, k+1], k in [start, stop)
+        g = abs(v := s[start:stop + 1])  # (|S_k| + |S_k+1| - |S_k+1 - S_k|)/2 <= chord distance
         near = np.flatnonzero(g[:-1] + g[1:] - abs(np.diff(v)) <= 2 * (slack + curv))
-        for k in (near + i).tolist():
+        for k in (near + start).tolist():
             stack = [(k * h, (k + 1) * h, complex(s[k]), complex(s[k + 1]))]
             while stack:
                 a, b, sa, sb = stack.pop()

@@ -18,10 +18,10 @@ for a moment at most 16 B more, one item at a time: the twiddle table of an
 exact spectrum while the amplitudes are folded, the CDF and a chunk's edges
 (8 B each) while sample draws, and the complex summands while circular_mean
 adds them.  So it peaks near 32 B per bin, charged by outcome_probabilities
-before it allocates, plus windows of clockstates._BLOCK bins and sample's
-chunks of up to 2^20 draws.  The kernels work the dial a window at a time,
-and every value is computed elementwise or by the same one np.sum as a single
-pass, so the block size changes no bit.
+before it allocates, plus windows of clockstates._BLOCK (2^12) bins and
+sample's chunks of up to 2^20 draws.  The kernels work the dial a window at a
+time, and every value is computed elementwise or by the same one np.sum as a
+single pass, so the window size changes no bit.
 """
 
 from __future__ import annotations

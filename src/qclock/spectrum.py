@@ -61,6 +61,8 @@ class RationalRatio:
     B: int
 
     def __post_init__(self):
+        if not (isinstance(self.C, _INTEGERS) and isinstance(self.B, _INTEGERS)):
+            raise InvalidArgument(f"C/B needs integers, got {spell(self.C)}/{spell(self.B)}")
         if self.B < 1:
             raise InvalidArgument(f"denominator must be >= 1, got {spell(self.B)}")
         if self.C < 0:
@@ -112,7 +114,10 @@ class ClockSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", levels := _checked_levels(self.levels))
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
+        r = tuple(self.r)
+        if bad := [x for x in r if not isinstance(x, _INTEGERS)]:  # int() would truncate them
+            raise InvalidArgument(f"r must hold integers, got {spell(bad[0])}")
+        object.__setattr__(self, "r", tuple(map(int, r)))
         if len(self.r) != len(levels):
             raise InvalidArgument("levels and r must have equal length")
         if self.r[0] != 0 or any(b <= a for a, b in zip(self.r, self.r[1:])):
@@ -149,6 +154,10 @@ class ClockSpectrum:
 
 def _checked_levels(levels) -> np.ndarray:
     """levels as a read-only float64 array, refused unless finite 0 = E_0 < ... < E_p."""
+    if not (isinstance(levels, np.ndarray) and levels.dtype.kind in "biuf"):
+        for level in np.array(levels, dtype=object).reshape(-1):  # nan, inf: refused in order below
+            if not (isinstance(level, (float, np.floating)) or _finite(level)):
+                raise InvalidArgument(f"levels must be finite real numbers, got {spell(level)}")
     levels = np.array(levels, dtype=float)
     levels.setflags(write=False)
     if levels.ndim != 1 or len(levels) < 2:

@@ -20,7 +20,7 @@ from oracles import (dial_circulant_gathered, frame_dense, frame_residual_dense,
                      hermitian_scrub_dense)
 
 # the budget the charges are checked against; a run the budget admits may
-# peak 2 MiB past it (windows of 2^14 dial times, small arrays, interpreter
+# peak 2 MiB past it (windows of 2^12 dial times, small arrays, interpreter
 # objects), and a refused one allocates less than 1 MiB
 BUDGET = 64 * 2**20
 SLACK = 2 * 2**20
@@ -89,8 +89,8 @@ CHARGES = {
     "grid_amplitudes": (lambda n: 16 * 7 * n, _grid),
     "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
         build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
-    # the operator's one buffer, and the two arrays of a scrub band of 2^12 // d rows
-    "dial-circulant": (lambda d: 16 * d * d + 32 * max(1, 2**12 // d) * d,
+    # the operator's one buffer, and the three arrays of a scrub band of 2^12 // d rows
+    "dial-circulant": (lambda d: 16 * d * d + 48 * max(1, 2**12 // d) * d,
                        lambda tmp_path: lambda d: hermitian_time_operator(
                            build_equally_spaced(d - 1, 1.0))),
     "frame-eigvalsh": (lambda d: 48 * d * d, lambda tmp_path: lambda d: identity_residual(
@@ -177,6 +177,15 @@ def test_the_dial_operators_peak_at_one_matrix():
     assert peak <= 16 * d * d + 2**20
     phases = np.exp(-1j * delta_e * taus / spec.hbar)
     assert U.tobytes() == dial_circulant_gathered(spec, 0.3, phases).tobytes()
+
+
+@pytest.mark.parametrize("d", [16, 256, 1001])
+def test_the_time_operator_peaks_within_its_charge(d):
+    # the matrix and the scrub's three band arrays, and 32 KiB of small objects
+    spec = build_equally_spaced(d - 1, 1.0)
+    hermitian_time_operator(spec)  # numpy.fft's first plan, outside the trace
+    _, peak = _traced(lambda _: hermitian_time_operator(spec), d)
+    assert peak <= CHARGES["dial-circulant"][0](d) + 32 * 2**10
 
 
 @pytest.mark.parametrize("kind", ["equally-spaced", "rationalized"])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qclock
-from qclock import (ClockPOVM, QClockError, cli, codata2018, natural_units,
+from qclock import (ClockPOVM, QClockError, cli, clockstates, codata2018, natural_units,
                     read_spectrum)
 from qclock.cli import _write, main
 
@@ -795,9 +795,9 @@ json_values = st.recursive(
 
 @st.composite
 def long_arrays(draw):
-    """Integer arrays longer than one writer slice."""
+    """Integer arrays longer than one writer window."""
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = draw(st.integers(cli._SLICE + 1, 3 * cli._SLICE))
+    size = draw(st.integers(clockstates._BLOCK + 1, 3 * clockstates._BLOCK))
     return g.integers(-2**63, 2**63 - 1, size, dtype=np.int64, endpoint=True)
 
 
@@ -855,7 +855,7 @@ ascii_text = st.text(st.characters(min_codepoint=1, max_codepoint=127), min_size
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.sampled_from([1, cli._SLICE, cli._SLICE + 1]))
+@given(data=st.data(), n=st.sampled_from([1, clockstates._BLOCK, clockstates._BLOCK + 1]))
 def test_spelled_rows_are_what_str_spells(data, n):
     values = data.draw(arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))
     if data.draw(st.booleans()):  # every edge, rotated, on the even rows

@@ -583,7 +583,7 @@ def test_the_scrub_is_the_whole_matrix_expression_band_by_band(monkeypatch):
     matrix = rng.choice(values, (38, 38)) + 1j * rng.choice(values, (38, 38))
     expected = hermitian_scrub_dense(matrix)
     for rows in (1, 2, 5, 37, 38):
-        monkeypatch.setattr(clockstates, "_BAND", rows * 38)
+        monkeypatch.setattr(clockstates, "_BLOCK", rows * 38)
         scrubbed = matrix.copy()
         clockstates._hermitian_scrub(scrubbed)
         assert scrubbed.tobytes() == expected.tobytes()

@@ -18,7 +18,8 @@ import pytest
 from qclock import (ClockBody, ClockPOVM, ClockSpectrum, ConstantsSet, QClockError,
                     RationalRatio, SpectrumKind, bound_report, build_equally_spaced,
                     build_rational, continuous_identity_residual, energy_shift_unitary,
-                    evolve, fundamental_resolution, gravitational_mass_limit,
+                    evolve, first_orthogonal_time, fundamental_resolution,
+                    gravitational_mass_limit,
                     hermitian_time_operator, natural_units, optimize_mass,
                     outcome_probabilities, rationalize, rationalized_spectrum, sample,
                     spreading_bound, structural_bound, time_state)
@@ -72,6 +73,26 @@ HOSTILE_CALLS = {
     "sample-float-shots": (lambda: sample(_dist(), 10.5, 1), "shots must be an integer >= 1, got 10.5"),
     "sample-float-seed": (lambda: sample(_dist(), 10, 1.5), "seed must be an integer >= 0, got 1.5"),
     "sample-str-shots": (lambda: sample(_dist(), "10", 1), "shots must be an integer >= 1, got '10'"),
+    "rationalized_spectrum-level-past-range": (
+        lambda: rationalized_spectrum([0.0, PAST], 0.1),
+        f"levels must be finite real numbers, got {PAST}"),
+    "ClockSpectrum-level-past-range": (
+        lambda: ClockSpectrum([0.0, PAST], (0, 1), 1.0, 1.0, SpectrumKind.RATIONALIZED, 0.1),
+        f"levels must be finite real numbers, got {PAST}"),
+    "rationalize-str-level": (lambda: rationalize([0.0, 1.0, "x"], 0.1),
+                              "levels must be finite real numbers, got 'x'"),
+    "bound_report-theta-past-range": (
+        lambda: bound_report(ClockBody(l_C=8.0, m=0.5), NAT, SPEC, 3, PAST),
+        f"operational time must lie in (0, T] = (0, 1.0], got {PAST}"),
+    "bound_report-str-theta": (lambda: bound_report(ClockBody(l_C=8.0, m=0.5), NAT, SPEC, 3, "x"),
+                               "operational time must lie in (0, T] = (0, 1.0], got 'x'"),
+    "RationalRatio-float": (lambda: RationalRatio(3.0, 2), "C/B needs integers, got 3.0/2"),
+    "ClockSpectrum-float-r": (
+        lambda: ClockSpectrum([0.0, 1.0], (0, 1.5), 2 * math.pi, 1.0, SpectrumKind.RATIONAL),
+        "r must hold integers, got 1.5"),
+    "first_orthogonal_time-samples": (
+        lambda: first_orthogonal_time(SPEC, samples_per_cycle=-10**5000),
+        "samples_per_cycle must be an int >= 1, got <a negative int of 16610 bits>"),
 }
 
 
