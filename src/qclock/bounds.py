@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_INTEGERS, DegenerateClock, InvalidArgument, QClockError,
-                     SchwarzschildViolation, _finite, spell)
+                     SchwarzschildViolation, _at_least, _finite, spell)
 from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
 
@@ -152,6 +152,13 @@ def _fundamental(consts: ConstantsSet, theta: np.ndarray) -> np.ndarray:
     return dt
 
 
+def _in_float(name: str, n: int) -> float:
+    """float(n) for an int n, refused by name when it is past the float64 range."""
+    if not _finite(n):
+        raise InvalidArgument(f"{name} has {n.bit_length()} bits, past the float64 range")
+    return float(n)
+
+
 def _dial_states(z, p, r_p=None) -> float:
     """float(z+1), the one check of z for a bound: z is an int with z >= p for an
     equally spaced spectrum, or z+1 > r_p for a generic one (r_p given)."""
@@ -160,13 +167,11 @@ def _dial_states(z, p, r_p=None) -> float:
     z = int(z)
     if r_p is None:
         if z < p:
-            raise InvalidArgument(f"need z >= p, got z={spell(z)}, p={p}")
+            raise InvalidArgument(f"need z >= p, got z={spell(z)}, p={spell(p)}")
     elif not z + 1 > r_p:
         raise InvalidArgument(f"completeness requires z+1 > r_p, "
-                              f"got z+1={spell(z + 1)}, r_p={r_p}")
-    if not _finite(z + 1):
-        raise InvalidArgument(f"z+1 has {(z + 1).bit_length()} bits, past the float64 range")
-    return float(z + 1)
+                              f"got z+1={spell(z + 1)}, r_p={spell(r_p)}")
+    return _in_float("z+1", z + 1)
 
 
 # --- one limit at a time ------------------------------------------------------
@@ -179,8 +184,7 @@ def confinement_rate(body: ClockBody, consts: ConstantsSet) -> float:
 def discretization_bound(body: ClockBody, consts: ConstantsSet,
                          p: int, z: int) -> float:
     """Minimum dial spacing for the equally-spaced clock, z+1 time states."""
-    if p < 1:
-        raise InvalidArgument(f"p must be >= 1, got {p}")
+    p = _at_least("p", p, 1)
     zp1 = _dial_states(z, p)
     return _discretization(confinement_rate(body, consts), p + 1, zp1)
 
@@ -188,8 +192,7 @@ def discretization_bound(body: ClockBody, consts: ConstantsSet,
 def discretization_bound_generic(body: ClockBody, consts: ConstantsSet,
                                  r_p: int, z: int) -> float:
     """Minimum dial spacing for a generic rational spectrum with largest r_p."""
-    if r_p < 1:
-        raise InvalidArgument(f"r_p must be >= 1, got {r_p}")
+    r_p = _at_least("r_p", r_p, 1)
     zp1 = _dial_states(z, None, r_p)
     return _discretization(confinement_rate(body, consts), r_p, zp1)
 
@@ -203,17 +206,14 @@ def continuum_condition(body: ClockBody, consts: ConstantsSet,
     spacing never crosses its own bound.
     """
     _require(_PERIOD, T)
-    if count < 1:
-        raise InvalidArgument(f"count must be >= 1, got {count}")
+    count = _in_float("count", _at_least("count", count, 1))
     return T > 2.0 * math.pi * count / confinement_rate(body, consts)
 
 
 def structural_bound(T: float, p: int) -> float:
     """dt >= T/(p+1): the clock only visits p+1 distinguishable dial states."""
     _require(_PERIOD, T)
-    if p < 0:
-        raise InvalidArgument(f"p must be >= 0, got {p}")
-    return T / (p + 1)
+    return T / _in_float("p+1", _at_least("p", p, 0) + 1)
 
 
 def speed_limit_bound(spec: ClockSpectrum) -> float:

@@ -58,13 +58,24 @@ to an offset phase u_n per level, so sum_m f_m |tau_m><tau_m| is the
 circulant u_n conj(u_k) c[(n-k) mod (p+1)] with c = fft(f)/(p+1): the
 Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 
+The time operator's eigenvalues come from a real symmetric matrix, by the
+centrohermitian reduction (A. Lee, Linear Algebra Appl. 29, 1980).  Write
+tau_hat = D C D^H, D = diag(u_n), C_nk = c[(n-k) mod d], d = p+1, and let J
+reverse the index, n -> -n mod d.  c is the DFT of the real dial times, so
+c[-j] = conj(c[j]) and J conj(C) J = C; then Q = (I + iJ)/sqrt 2 is unitary
+and Q^H C Q = S, S_nk = Re c[(n-k) mod d] - Im c[(n+k) mod d], a real
+symmetric Toeplitz-plus-Hankel matrix with the eigenvalues of tau_hat.  S
+is filled from the rfft half of c, conjugate-even by construction, so it is
+exactly symmetric, and eigvalsh works on 8 B entries, not 16 B complex ones.
+
 Each dense (p+1)^2 operator is built in its own buffer: every step of the
 whole-matrix expression it stands for is worked in place, or a band at a
 time, in that expression's operand order, so the result has the same bits.
-The time operator and its energy shifts peak at 16 B per entry and 48 B per
-entry of one scrub band, the frame operator at about 41 B per entry.  eigvalsh
-copies its matrix inside LAPACK, in memory numpy does not allocate, which
-tracemalloc does not see and no charge counts.
+The time operator's complex matrix, built only when it is read, and the
+energy shifts peak at 16 B per entry and 48 B per entry of one scrub band,
+its eigenvalues at 8 B per entry and 40 B per level, the frame operator at
+about 41 B per entry.  eigvalsh copies its matrix inside LAPACK, in memory
+numpy does not allocate, which tracemalloc does not see and no charge counts.
 
 Every dial entry point builds its dial as a ClockPOVM, the one check of z
 and tau_0.  The frame operator holds r_n mod (z+1) in int64, so it and the
@@ -82,7 +93,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -412,15 +423,14 @@ def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
     return _completeness_residual(spec, int(quad_points), t_0)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeOperator:
-    """The Hermitian dial observable of the z = p dial povm, in the energy basis."""
-
-    matrix: np.ndarray
-    povm: ClockPOVM
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+def _dial_spectrum(transform, f) -> np.ndarray:
+    """c = transform(f)/len(f), transform np.fft.fft or np.fft.rfft; an f that is not
+    finite, or whose sums overflow, is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = transform(f) / len(f)
+    if not np.isfinite(c).all():
+        raise InvalidArgument("the dial operator's sums overflow the float range")
+    return c
 
 
 def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
@@ -432,15 +442,12 @@ def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
     phases of row n are multiplied by a slice of c reversed twice over, c[n],
     c[n-1], ... mod p+1, so the operator is built in its one buffer of 16 B
     per entry, with no index matrix or gathered copy.  The charge also
-    covers the three band arrays of hermitian_time_operator's scrub.  An f
+    covers the three band arrays of TimeOperator.matrix's scrub.  An f
     that is not finite, or whose sums overflow, is refused.
     """
     spec, d = povm.spectrum, povm.spectrum.dimension
     _charge(16 * d * d + 48 * max(1, _BLOCK // d) * d, "a dial operator")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.fft.fft(f) / d
-    if not np.isfinite(c).all():
-        raise InvalidArgument("the dial operator's sums overflow the float range")
+    c = _dial_spectrum(np.fft.fft, f)
     twice = np.concatenate([c[::-1], c[::-1]])  # from d-1-n on: c[n], c[n-1], ...
     return _offset_phases(spec, povm.tau_0, lambda n: twice[d - 1 - n:2 * d - 1 - n],
                           np.empty((d, d), dtype=complex))
@@ -472,22 +479,71 @@ def _hermitian_scrub(matrix: np.ndarray) -> None:
         left[...], top[...] = cols, rows
 
 
+@dataclass(frozen=True, eq=False)
+class TimeOperator:
+    """tau_hat = sum_m tau_m |tau_m><tau_m| on the z = p dial povm of an equally
+    spaced spectrum, the Hermitian dial observable, in the energy basis.
+
+    The dial's spectrum c = rfft(tau_grid)/(p+1) is taken here, so a dial whose
+    times or their sum overflow the float range is refused at construction.
+    eigenvalues() solves the real symmetric form of tau_hat and leaves matrix,
+    the complex (p+1)^2 operator, unbuilt; matrix is built on first read.
+    """
+
+    povm: ClockPOVM
+    _half: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        spec = self.povm.spectrum
+        if spec.kind is not SpectrumKind.EQUALLY_SPACED:
+            raise UnsupportedSpectrum(
+                "the Hermitian time operator exists only for equally-spaced spectra")
+        if self.povm.z != spec.p:
+            raise InvalidArgument(f"the time operator needs the z = p = {spec.p} dial, "
+                                  f"got z = {spell(self.povm.z)}")
+        object.__setattr__(self, "_half", _dial_spectrum(np.fft.rfft, self.povm.tau_grid))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The complex operator, built and scrubbed Hermitian in its one buffer on
+        first read, whose peak the module docstring gives; read-only."""
+        matrix = _dial_circulant(self.povm, self.povm.tau_grid)
+        _hermitian_scrub(matrix)  # scrub rounding asymmetry
+        matrix.setflags(write=False)
+        return matrix
+
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of tau_hat, ascending, from its real symmetric form."""
+        return np.linalg.eigvalsh(self._real_form())
+
+    def _real_form(self) -> np.ndarray:
+        """S_nk = Re c[(n-k) mod d] - Im c[(n+k) mod d], d = p+1, unitarily similar to
+        matrix (the module docstring derives it), in one buffer of 8 B per entry.
+
+        c is conjugate-even, c[d-j] = conj(c[j]), by construction from the rfft half,
+        so S is exactly symmetric.  Re c is even, so row n is Re c doubled, read from
+        d-n on, less Im c doubled, read from n on: one ufunc per row, no index matrix.
+        """
+        half, d = self._half, self.povm.spectrum.dimension
+        _charge(8 * d * d + 40 * d, "a real time operator")
+        c = np.concatenate([half, half[d - len(half):0:-1].conj()])
+        re, im = np.tile(c.real, 2), np.tile(c.imag, 2)
+        del c
+        form = np.empty((d, d))
+        for n in range(d):
+            np.subtract(re[d - n:2 * d - n], im[n:n + d], out=form[n])
+        return form
+
+
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
     """tau_hat = sum_m tau_m |tau_m><tau_m| for the equally-spaced clock.
 
     Only the equally-spaced spectrum admits orthogonal time states, so only
     there does the dial observable collapse to a Hermitian operator.  The
     dial times are ClockPOVM(spec, p, tau_0).tau_grid; a dial whose times or
-    their sum overflow the float range is refused.  The operator is built and
-    scrubbed Hermitian in its one buffer, whose peak the module docstring gives.
+    their sum overflow the float range is refused.
     """
-    if spec.kind is not SpectrumKind.EQUALLY_SPACED:
-        raise UnsupportedSpectrum(
-            "the Hermitian time operator exists only for equally-spaced spectra")
-    povm = ClockPOVM(spec, spec.p, tau_0)
-    matrix = _dial_circulant(povm, povm.tau_grid)
-    _hermitian_scrub(matrix)  # scrub rounding asymmetry
-    return TimeOperator(matrix, povm)
+    return TimeOperator(ClockPOVM(spec, spec.p, tau_0))
 
 
 def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:

@@ -83,6 +83,16 @@ def _finite(x):
         return False
 
 
+def _at_least(name: str, value, least: int) -> int:
+    """int(value), refused unless value is an integer (_INTEGERS) >= least, each
+    refusal spelled through spell."""
+    if not isinstance(value, _INTEGERS):
+        raise InvalidArgument(f"{name} must be an integer >= {least}, got {spell(value)}")
+    if value < least:
+        raise InvalidArgument(f"{name} must be >= {least}, got {spell(value)}")
+    return int(value)
+
+
 def spell(value) -> str:
     """repr(value), or the sign and size of an int too long to spell in decimal."""
     try:

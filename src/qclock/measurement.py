@@ -33,7 +33,7 @@ import numpy as np
 
 from .clockstates import ClockPOVM, TimeState, _blocks, _dial_rows
 from .errors import (_INTEGERS, IncompatibleStates, InvalidArgument,
-                     InvalidDistribution, NoEstimate, spell)
+                     InvalidDistribution, NoEstimate, _at_least, spell)
 from .spectrum import _charge
 
 # tolerated drift of sum(P) away from 1 before a distribution is rejected
@@ -93,8 +93,7 @@ class MeasurementRecord:
 
     def __post_init__(self):
         counts = _per_dial_time(self, "counts", np.int64)
-        if self.shots < 1:
-            raise InvalidArgument(f"shots must be >= 1, got {self.shots}")
+        object.__setattr__(self, "shots", _at_least("shots", self.shots, 1))
         if counts.min() < 0:
             raise InvalidArgument("counts must be non-negative")
         if counts.sum() != self.shots:

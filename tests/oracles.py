@@ -280,6 +280,16 @@ def dial_circulant_gathered(spec, tau0, f) -> np.ndarray:
     return offset_phases_dense(spec, tau0) * c[n[:, None] - n]
 
 
+def real_form_dense(matrix, u) -> np.ndarray:
+    """Q^H D^H M D Q, D = diag(u) and Q = (I + iJ)/sqrt 2 with J the index reversal
+    n -> -n mod d, from whole-matrix products: the real symmetric form of the
+    phase-twisted Hermitian circulant M = D C D^H, with a rounding-level imaginary part."""
+    d = len(u)
+    J = np.eye(d)[-np.arange(d) % d]
+    Q = (np.eye(d) + 1j * J) / math.sqrt(2)
+    return Q.conj().T @ (u.conj()[:, None] * matrix * u) @ Q
+
+
 def hermitian_scrub_dense(matrix) -> np.ndarray:
     """(M + M^H)/2 from two whole-matrix temporaries."""
     return 0.5 * (matrix + matrix.conj().T)

@@ -89,10 +89,15 @@ CHARGES = {
     "grid_amplitudes": (lambda n: 16 * 7 * n, _grid),
     "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
         build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
-    # the operator's one buffer, and the three arrays of a scrub band of 2^12 // d rows
+    # the operator's one buffer, and the three arrays of a scrub band of 2^12 // d rows,
+    # allocated when its matrix is first read
     "dial-circulant": (lambda d: 16 * d * d + 48 * max(1, 2**12 // d) * d,
                        lambda tmp_path: lambda d: hermitian_time_operator(
-                           build_equally_spaced(d - 1, 1.0))),
+                           build_equally_spaced(d - 1, 1.0)).matrix),
+    # the real symmetric form, 8 B per entry, and its two doubled spectrum vectors
+    "time-operator-eigenvalues": (lambda d: 8 * d * d + 40 * d,
+                                  lambda tmp_path: lambda d: hermitian_time_operator(
+                                      build_equally_spaced(d - 1, 1.0)).eigenvalues()),
     "frame-eigvalsh": (lambda d: 48 * d * d, lambda tmp_path: lambda d: identity_residual(
         _rationalized(d), d - 1)),
     "frame_operator": (lambda d: 48 * d * d, lambda tmp_path: lambda d: frame_operator(
@@ -183,9 +188,21 @@ def test_the_dial_operators_peak_at_one_matrix():
 def test_the_time_operator_peaks_within_its_charge(d):
     # the matrix and the scrub's three band arrays, and 32 KiB of small objects
     spec = build_equally_spaced(d - 1, 1.0)
-    hermitian_time_operator(spec)  # numpy.fft's first plan, outside the trace
-    _, peak = _traced(lambda _: hermitian_time_operator(spec), d)
+    hermitian_time_operator(spec).matrix  # numpy.fft's first plans, outside the trace
+    _, peak = _traced(lambda _: hermitian_time_operator(spec).matrix, d)
     assert peak <= CHARGES["dial-circulant"][0](d) + 32 * 2**10
+
+
+@pytest.mark.parametrize("d", [16, 256, 1001])
+def test_the_time_operator_eigenvalues_peak_within_their_charge(d):
+    # the real symmetric form and its two doubled vectors, and 32 KiB of small
+    # objects; the complex matrix is never built
+    op = hermitian_time_operator(build_equally_spaced(d - 1, 1.0), 0.3)
+    op.eigenvalues()  # numpy.linalg's first call, outside the trace
+    eigenvalues, peak = _traced(lambda _: op.eigenvalues(), d)
+    assert "matrix" not in op.__dict__
+    assert peak <= CHARGES["time-operator-eigenvalues"][0](d) + 32 * 2**10
+    assert np.abs(eigenvalues - op.povm.tau_grid).max() <= 1e-12 * op.povm.spectrum.T
 
 
 @pytest.mark.parametrize("kind", ["equally-spaced", "rationalized"])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclock import (CapacityError, ClockPOVM, ClockSpectrum, IncompatibleStates,
-                    InvalidArgument, RationalRatio, SpectrumKind,
+                    InvalidArgument, RationalRatio, SpectrumKind, TimeOperator,
                     UnsupportedSpectrum, build_equally_spaced, build_rational,
                     clockstates, continuous_identity_residual,
                     energy_shift_unitary, evolve, first_orthogonal_time,
@@ -26,7 +26,7 @@ from qclock import (CapacityError, ClockPOVM, ClockSpectrum, IncompatibleStates,
 from oracles import (dial_circulant_gathered, dial_operator_naive, first_zero_scan,
                      frame_dense, frame_residual_dense, frame_residual_naive,
                      gram_matrix_naive, hermitian_scrub_dense, random_rational_fracs,
-                     turns_fraction)
+                     real_form_dense, turns_fraction)
 
 # what a refusal by the byte budget says
 BUDGET_MESSAGE = r"needs \d+ bytes, past the budget of \d+ bytes"
@@ -572,6 +572,45 @@ def test_dial_operators_are_the_whole_matrix_expressions_to_the_byte(nat, p, T, 
     phases = np.exp(-1j * delta_e * taus / spec.hbar)
     U = energy_shift_unitary(op, delta_e)
     assert U.tobytes() == dial_circulant_gathered(spec, tau0, phases).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 63, 255, 1000])
+@settings(max_examples=5, deadline=None)
+@given(tau0=OFFSETS)
+def test_time_operator_eigenvalues_are_the_dial_grid_and_the_complex_solve(nat, p, tau0):
+    spec = build_equally_spaced(p, 3.7, nat)
+    op = hermitian_time_operator(spec, tau0)
+    eigenvalues, form = op.eigenvalues(), op._real_form()
+    assert "matrix" not in op.__dict__
+    assert np.array_equal(form, form.T)
+    grid = np.sort(op.povm.tau_grid)
+    tol = 1e-12 * max(spec.T, float(np.abs(grid).max()))
+    assert np.abs(eigenvalues - grid).max() <= tol
+    assert np.abs(eigenvalues - np.linalg.eigvalsh(op.matrix)).max() <= tol
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 63])
+@pytest.mark.parametrize("tau0", [0.0, -2.5, 0.37, 1e15])
+def test_the_real_form_is_the_unitary_reduction_of_the_matrix(nat, p, tau0):
+    # Q^H D^H tau_hat D Q, D the offset phases and Q = (I + iJ)/sqrt 2, is real
+    spec = build_equally_spaced(p, 3.7, nat)
+    op = hermitian_time_operator(spec, tau0)
+    u = time_state(spec, tau0).amplitudes * math.sqrt(spec.dimension)
+    reduced = real_form_dense(op.matrix, u)
+    tol = 1e-12 * max(spec.T, float(np.abs(op.povm.tau_grid).max()))
+    assert np.abs(reduced.imag).max() <= tol
+    assert np.abs(reduced.real - op._real_form()).max() <= tol
+
+
+def test_a_time_operator_holds_its_z_equals_p_dial(nat):
+    spec = build_equally_spaced(3, 1.0, nat)
+    with pytest.raises(InvalidArgument, match="needs the z = p = 3 dial, got z = 4"):
+        TimeOperator(ClockPOVM(spec, 4))
+    with pytest.raises(UnsupportedSpectrum):
+        TimeOperator(ClockPOVM(rat0621(nat), rat0621(nat).p))
+    op = TimeOperator(ClockPOVM(spec, 3, 0.25))
+    assert op.matrix is op.matrix and not op.matrix.flags.writeable
+    assert op.matrix.tobytes() == hermitian_time_operator(spec, 0.25).matrix.tobytes()
 
 
 def test_the_scrub_is_the_whole_matrix_expression_band_by_band(monkeypatch):

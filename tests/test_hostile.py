@@ -15,10 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qclock import (ClockBody, ClockPOVM, ClockSpectrum, ConstantsSet, QClockError,
-                    RationalRatio, SpectrumKind, bound_report, build_equally_spaced,
-                    build_rational, continuous_identity_residual, energy_shift_unitary,
-                    evolve, first_orthogonal_time, fundamental_resolution,
+from qclock import (ClockBody, ClockPOVM, ClockSpectrum, ConstantsSet, MeasurementRecord,
+                    QClockError, RationalRatio, SpectrumKind, bound_report,
+                    build_equally_spaced, build_rational, continuous_identity_residual,
+                    continuum_condition, discretization_bound, discretization_bound_generic,
+                    energy_shift_unitary, evolve, first_orthogonal_time, fundamental_resolution,
                     gravitational_mass_limit,
                     hermitian_time_operator, natural_units, optimize_mass,
                     outcome_probabilities, rationalize, rationalized_spectrum, sample,
@@ -28,6 +29,8 @@ from qclock.errors import _finite, spell
 NAT = natural_units()
 SPEC = build_equally_spaced(3, 1.0, NAT)
 PAST = 10**400  # an int that float64 cannot hold
+HUGE = 10**5000  # an int too long to spell in decimal
+BODY = ClockBody(l_C=8.0, m_rest=0.5, m=0.5)
 
 
 def _dist():
@@ -93,6 +96,39 @@ HOSTILE_CALLS = {
     "first_orthogonal_time-samples": (
         lambda: first_orthogonal_time(SPEC, samples_per_cycle=-10**5000),
         "samples_per_cycle must be an int >= 1, got <a negative int of 16610 bits>"),
+    "structural_bound-p-huge": (lambda: structural_bound(1.0, -HUGE),
+                                "p must be >= 0, got <a negative int of 16610 bits>"),
+    "structural_bound-p-float": (lambda: structural_bound(1.0, 2.5),
+                                 "p must be an integer >= 0, got 2.5"),
+    "structural_bound-p-past-range": (lambda: structural_bound(1.0, PAST),
+                                      "p+1 has 1329 bits, past the float64 range"),
+    "discretization_bound-p-huge": (lambda: discretization_bound(BODY, NAT, -HUGE, 3),
+                                    "p must be >= 1, got <a negative int of 16610 bits>"),
+    "discretization_bound-p-float": (lambda: discretization_bound(BODY, NAT, 2.5, 3),
+                                     "p must be an integer >= 1, got 2.5"),
+    "discretization_bound-p-past-z": (lambda: discretization_bound(BODY, NAT, HUGE, 3),
+                                      "need z >= p, got z=3, p=<an int of 16610 bits>"),
+    "discretization_bound_generic-r_p-huge": (
+        lambda: discretization_bound_generic(BODY, NAT, -HUGE, 3),
+        "r_p must be >= 1, got <a negative int of 16610 bits>"),
+    "discretization_bound_generic-r_p-float": (
+        lambda: discretization_bound_generic(BODY, NAT, 2.5, 3),
+        "r_p must be an integer >= 1, got 2.5"),
+    "discretization_bound_generic-r_p-past-z": (
+        lambda: discretization_bound_generic(BODY, NAT, HUGE, 3),
+        "completeness requires z+1 > r_p, got z+1=4, r_p=<an int of 16610 bits>"),
+    "continuum_condition-count-huge": (lambda: continuum_condition(BODY, NAT, 1.0, -HUGE),
+                                       "count must be >= 1, got <a negative int of 16610 bits>"),
+    "continuum_condition-count-float": (lambda: continuum_condition(BODY, NAT, 1.0, 2.5),
+                                        "count must be an integer >= 1, got 2.5"),
+    "continuum_condition-count-past-range": (lambda: continuum_condition(BODY, NAT, 1.0, PAST),
+                                             "count has 1329 bits, past the float64 range"),
+    "MeasurementRecord-shots-huge": (
+        lambda: MeasurementRecord(seed=0, shots=-HUGE, counts=[0, 0, 0, 0], povm=ClockPOVM(SPEC, 3)),
+        "shots must be >= 1, got <a negative int of 16610 bits>"),
+    "MeasurementRecord-shots-float": (
+        lambda: MeasurementRecord(seed=0, shots=2.0, counts=[1, 1, 0, 0], povm=ClockPOVM(SPEC, 3)),
+        "shots must be an integer >= 1, got 2.0"),
 }
 
 
