@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_INTEGERS, DegenerateClock, InvalidArgument, QClockError,
-                     SchwarzschildViolation, _at_least, _finite, spell)
+from .errors import (DegenerateClock, InvalidArgument, QClockError, SchwarzschildViolation,
+                     _at_least, _finite, _integer, spell)
 from .spectrum import ClockSpectrum, SpectrumKind
 from .units import ConstantsSet, derive_planck_scale
 
@@ -162,7 +162,7 @@ def _in_float(name: str, n: int) -> float:
 def _dial_states(z, p, r_p=None) -> float:
     """float(z+1), the one check of z for a bound: z is an int with z >= p for an
     equally spaced spectrum, or z+1 > r_p for a generic one (r_p given)."""
-    if not isinstance(z, _INTEGERS):
+    if not _integer(z):
         raise InvalidArgument(f"z must be an integer, got {spell(z)}")
     z = int(z)
     if r_p is None:

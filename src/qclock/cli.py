@@ -54,7 +54,7 @@ from .bounds import BindingBound, ClockBody, _bound_columns, bound_report
 from .clockstates import ClockPOVM, _blocks, identity_residual, time_state
 from .errors import InvalidArgument, NoEstimate, QClockError, _finite
 from .measurement import SAMPLER, outcome_probabilities, sample, with_estimate
-from .spectrum import (ClockSpectrum, RationalRatio, _charge,
+from .spectrum import (_READ_CHARGE, ClockSpectrum, RationalRatio, _charge,
                        build_equally_spaced, build_rational, max_integer,
                        rationalized_spectrum, read_spectrum, write_spectrum)
 from .units import resolve_constants
@@ -243,10 +243,11 @@ def cmd_build(args) -> int:
     if args.kind == "equally-spaced":
         if args.p is None or args.T is None:
             raise InvalidArgument("equally-spaced build needs --p and --T")
-        # the spectrum, its file (a repr per level, then their join) and the
-        # summary's r list every level: tracemalloc up to 171 B per level
-        # (CODATA, p = 10^5).  A listed spectrum is bounded by its argv.
-        _charge(176 * (args.p + 1), f"a spectrum file and summary of {args.p + 1} levels")
+        # reading the file back, _READ_CHARGE B per byte of at most 24 B a line (a
+        # positive float's repr and a newline) and 64 B of header, costs more than
+        # build's own peak of up to 171 B per level (tracemalloc, CODATA, p = 10^5)
+        _charge(_READ_CHARGE * (24 * (args.p + 1) + 64),
+                f"a spectrum file and summary of {args.p + 1} levels")
         spec = build_equally_spaced(args.p, args.T, consts)
     elif args.kind == "rational":
         if args.e1 is None:

@@ -57,6 +57,9 @@ On the equally spaced dial with z = p the time states are the DFT basis up
 to an offset phase u_n per level, so sum_m f_m |tau_m><tau_m| is the
 circulant u_n conj(u_k) c[(n-k) mod (p+1)] with c = fft(f)/(p+1): the
 Hermitian time operator and its energy shifts are one length-(p+1) FFT.
+The time operator's c is the DFT of the real dial times, taken once as an
+rfft half and mirrored conjugate-even; its matrix keeps the circulant's lower
+triangle and writes the upper as the conjugate mirror, Hermitian to the bit.
 
 The time operator's eigenvalues come from a real symmetric matrix, by the
 centrohermitian reduction (A. Lee, Linear Algebra Appl. 29, 1980).  Write
@@ -69,13 +72,13 @@ is filled from the rfft half of c, conjugate-even by construction, so it is
 exactly symmetric, and eigvalsh works on 8 B entries, not 16 B complex ones.
 
 Each dense (p+1)^2 operator is built in its own buffer: every step of the
-whole-matrix expression it stands for is worked in place, or a band at a
-time, in that expression's operand order, so the result has the same bits.
-The time operator's complex matrix, built only when it is read, and the
-energy shifts peak at 16 B per entry and 48 B per entry of one scrub band,
-its eigenvalues at 8 B per entry and 40 B per level, the frame operator at
-about 41 B per entry.  eigvalsh copies its matrix inside LAPACK, in memory
-numpy does not allocate, which tracemalloc does not see and no charge counts.
+whole-matrix expression it stands for is worked in place, or a row at a time,
+in that expression's operand order, so the result has the same bits.  The
+time operator's complex matrix, built only when it is read, and the energy
+shifts peak at 16 B per entry and 112 B per level, its eigenvalues at 8 B
+per entry and 40 B per level, the frame operator at about 41 B per entry.
+eigvalsh copies its matrix inside LAPACK, in memory numpy does not allocate,
+which tracemalloc does not see and no charge counts.
 
 Every dial entry point builds its dial as a ClockPOVM, the one check of z
 and tau_0.  The frame operator holds r_n mod (z+1) in int64, so it and the
@@ -98,13 +101,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (_INTEGERS, CapacityError, IncompatibleStates, InvalidArgument,
-                     UnsupportedSpectrum, _finite, spell)
+from .errors import (CapacityError, IncompatibleStates, InvalidArgument, UnsupportedSpectrum,
+                     _finite, _integer, spell)
 from .spectrum import ClockSpectrum, SpectrumKind, _charge
 
-# entries a windowed pass holds at a time: dial times, scan steps, written values,
-# a scrub band's entries.  A power of two, so every window starts on a SIMD lane
-# boundary and an elementwise pass rounds each entry as one whole-array pass would.
+# entries a windowed pass holds at a time: dial times, scan steps, written values.
+# A power of two, so every window starts on a SIMD lane boundary and an
+# elementwise pass rounds each entry as one whole-array pass would.
 _BLOCK = 2**12
 # |overlap| below which a polished minimum counts as an orthogonal dial time
 _ZERO_TOL = 1e-9
@@ -237,7 +240,7 @@ class ClockPOVM:
     tau_0: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.z, _INTEGERS) or self.z < self.spectrum.p:
+        if not _integer(self.z) or self.z < self.spectrum.p:
             raise InvalidArgument(f"need z >= p = {self.spectrum.p}, got {spell(self.z)}")
         if not _finite(self.tau_0):
             why = ("is past the float64 range" if isinstance(self.tau_0, (int, Fraction))
@@ -281,7 +284,7 @@ class ClockPOVM:
 
     def element(self, m: int) -> np.ndarray:
         """The m-th POVM element as a dense (p+1, p+1) matrix."""
-        if not isinstance(m, _INTEGERS) or not 0 <= m <= self.z:
+        if not _integer(m) or not 0 <= m <= self.z:
             raise InvalidArgument(
                 f"outcome index {spell(m)} outside the integers 0..{spell(self.z)}")
         _charge(16 * self.spectrum.dimension ** 2, "a POVM element")
@@ -411,7 +414,7 @@ def continuous_identity_residual(spec: ClockSpectrum, quad_points: int,
     aliasing below it.  Fewer than p+1 nodes make no POVM, so no ClockPOVM
     checks quad_points and t_0.
     """
-    if not isinstance(quad_points, _INTEGERS):
+    if not _integer(quad_points):
         raise InvalidArgument(f"quad_points must be an integer, got {spell(quad_points)}")
     if enforce_nyquist and quad_points < (least := 2 * (spec.r[-1] + 1)):
         raise InvalidArgument(f"need quad_points >= 2*(r_p+1) = {least}, got {spell(quad_points)}")
@@ -433,50 +436,28 @@ def _dial_spectrum(transform, f) -> np.ndarray:
     return c
 
 
-def _dial_circulant(povm: ClockPOVM, f) -> np.ndarray:
-    """sum_m f_m |tau_m><tau_m| on the z = p dial povm of an equally spaced spectrum.
+def _conjugate_even(half: np.ndarray, d: int) -> np.ndarray:
+    """The length-d spectrum c of a real vector from its rfft half: c[d-j] = conj(c[j])."""
+    return np.concatenate([half, half[d - len(half):0:-1].conj()])
+
+
+def _dial_circulant(povm: ClockPOVM, c) -> np.ndarray:
+    """sum_m f_m |tau_m><tau_m| on the z = p dial povm of an equally spaced spectrum,
+    from c = fft(f)/(p+1), the dial's spectrum.
 
     With r_n = n, <E_n|tau_m> = u_n e^{-2 pi i n m/(p+1)} / sqrt(p+1), so
-    entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)], c = fft(f)/(p+1):
-    one length-(p+1) FFT, O((p+1)^2) instead of a grid product.  The offset
-    phases of row n are multiplied by a slice of c reversed twice over, c[n],
-    c[n-1], ... mod p+1, so the operator is built in its one buffer of 16 B
-    per entry, with no index matrix or gathered copy.  The charge also
-    covers the three band arrays of TimeOperator.matrix's scrub.  An f
-    that is not finite, or whose sums overflow, is refused.
+    entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)]: one length-(p+1) FFT,
+    O((p+1)^2) instead of a grid product.  The offset phases of row n are
+    multiplied by a slice of c reversed twice over, c[n], c[n-1], ... mod p+1,
+    so the operator is built in its one buffer of 16 B per entry, with no
+    index matrix or gathered copy.  The charge covers the O(p+1) vectors beside
+    the buffer, c and the f it came from among them: 112 B per level.
     """
     spec, d = povm.spectrum, povm.spectrum.dimension
-    _charge(16 * d * d + 48 * max(1, _BLOCK // d) * d, "a dial operator")
-    c = _dial_spectrum(np.fft.fft, f)
+    _charge(16 * d * d + 112 * d, "a dial operator")
     twice = np.concatenate([c[::-1], c[::-1]])  # from d-1-n on: c[n], c[n-1], ...
     return _offset_phases(spec, povm.tau_0, lambda n: twice[d - 1 - n:2 * d - 1 - n],
                           np.empty((d, d), dtype=complex))
-
-
-def _hermitian_scrub(matrix: np.ndarray) -> None:
-    """matrix <- (matrix + matrix^H)/2 in place, a band of rows and columns at a time.
-
-    Each band's rows and columns are summed and halved before either is
-    written, columns first, each entry from the same operations as the
-    whole-matrix expression; the columns are not taken as the conjugate of
-    the rows, which would flip the sign of a zero imaginary part.  numpy's ufuncs
-    buffer a strided 2-d operand, so a band's mirror and own entries are first
-    copied into two of three band arrays of max(1, _BLOCK // (p+1)) rows, made once.
-    """
-    d = len(matrix)
-    width = min(max(1, _BLOCK // d), d)
-    buffers = np.empty((3, width * d), dtype=complex)
-    for a in range(0, d, width):
-        top, left = matrix[a:a + width, a:], matrix[a:, a:a + width]  # the band's rows, columns
-        rows, cols, mine = buffers[:, :top.size]
-        rows, cols = rows.reshape(top.shape), cols.reshape(left.shape)
-        for band, own, mirror in ((rows, top, left), (cols, left, top)):
-            np.copyto(band, mirror.T)
-            np.conjugate(band, out=band)
-            np.copyto(contiguous := mine.reshape(own.shape), own)
-            np.add(contiguous, band, out=band)
-            np.multiply(0.5, band, out=band)
-        left[...], top[...] = cols, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,10 +465,11 @@ class TimeOperator:
     """tau_hat = sum_m tau_m |tau_m><tau_m| on the z = p dial povm of an equally
     spaced spectrum, the Hermitian dial observable, in the energy basis.
 
-    The dial's spectrum c = rfft(tau_grid)/(p+1) is taken here, so a dial whose
-    times or their sum overflow the float range is refused at construction.
+    The dial's spectrum c = rfft(tau_grid)/(p+1) is taken here, once, so a dial
+    whose times or their sum overflow the float range is refused at construction.
     eigenvalues() solves the real symmetric form of tau_hat and leaves matrix,
-    the complex (p+1)^2 operator, unbuilt; matrix is built on first read.
+    the complex (p+1)^2 operator, unbuilt; matrix is built on first read from
+    the same c, with no second FFT.
     """
 
     povm: ClockPOVM
@@ -505,10 +487,14 @@ class TimeOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The complex operator, built and scrubbed Hermitian in its one buffer on
-        first read, whose peak the module docstring gives; read-only."""
-        matrix = _dial_circulant(self.povm, self.povm.tau_grid)
-        _hermitian_scrub(matrix)  # scrub rounding asymmetry
+        """The complex operator, built on first read in its one buffer, whose peak the
+        module docstring gives; read-only.  Its lower triangle is the circulant of the
+        real form's conjugate-even c, and each row's strict upper part the conjugate of
+        the column below the diagonal, so it is Hermitian to the bit."""
+        d = self.povm.spectrum.dimension
+        matrix = _dial_circulant(self.povm, _conjugate_even(self._half, d))
+        for n in range(d - 1):
+            np.conjugate(matrix[n + 1:, n], out=matrix[n, n + 1:])
         matrix.setflags(write=False)
         return matrix
 
@@ -526,7 +512,7 @@ class TimeOperator:
         """
         half, d = self._half, self.povm.spectrum.dimension
         _charge(8 * d * d + 40 * d, "a real time operator")
-        c = np.concatenate([half, half[d - len(half):0:-1].conj()])
+        c = _conjugate_even(half, d)
         re, im = np.tile(c.real, 2), np.tile(c.imag, 2)
         del c
         form = np.empty((d, d))
@@ -558,7 +544,7 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
                   if _finite(delta_e) else None)
     if phases is None or not np.isfinite(phases).all():
         raise InvalidArgument(f"energy shift {spell(delta_e)} gives non-finite phases")
-    return _dial_circulant(op.povm, phases)
+    return _dial_circulant(op.povm, _dial_spectrum(np.fft.fft, phases))
 
 
 def _overlap_sq_slope(w: np.ndarray, t: float) -> tuple[complex, float]:
@@ -593,7 +579,7 @@ def first_orthogonal_time(spec: ClockSpectrum, *,
     w_n = E_n/hbar, the last term a rounding allowance (the module docstring sets out
     the search).  None certifies |S| >= _ZERO_TOL on (0, T - h], on all of (0, T) if exact.
     """
-    if not isinstance(samples_per_cycle, _INTEGERS) or samples_per_cycle < 1:
+    if not _integer(samples_per_cycle) or samples_per_cycle < 1:
         raise InvalidArgument(
             f"samples_per_cycle must be an int >= 1, got {spell(samples_per_cycle)}")
     n_grid = max(512, int(samples_per_cycle) * (spec.r[-1] + 1))

@@ -9,8 +9,6 @@ import numbers
 
 import numpy as np
 
-_INTEGERS = (int, np.integer)  # the types of an integer argument: a float, even 4.0, is none
-
 
 class QClockError(Exception):
     """Base class for all qclock domain errors."""
@@ -83,10 +81,16 @@ def _finite(x):
         return False
 
 
+def _integer(x) -> bool:
+    """True where x is an int or a numpy integer: a float, even 4.0, is none, and nor
+    is a bool, though Python counts True as the int 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _at_least(name: str, value, least: int) -> int:
-    """int(value), refused unless value is an integer (_INTEGERS) >= least, each
+    """int(value), refused unless value is an integer (_integer) >= least, each
     refusal spelled through spell."""
-    if not isinstance(value, _INTEGERS):
+    if not _integer(value):
         raise InvalidArgument(f"{name} must be an integer >= {least}, got {spell(value)}")
     if value < least:
         raise InvalidArgument(f"{name} must be >= {least}, got {spell(value)}")

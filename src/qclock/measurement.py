@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clockstates import ClockPOVM, TimeState, _blocks, _dial_rows
-from .errors import (_INTEGERS, IncompatibleStates, InvalidArgument,
-                     InvalidDistribution, NoEstimate, _at_least, spell)
+from .errors import (IncompatibleStates, InvalidArgument, InvalidDistribution, NoEstimate,
+                     _at_least, spell)
 from .spectrum import _charge
 
 # tolerated drift of sum(P) away from 1 before a distribution is rejected
@@ -140,9 +140,7 @@ def outcome_probabilities(state, povm: ClockPOVM) -> OutcomeDistribution:
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecord:
     """Inverse-CDF sampling; identical (dist, shots, seed) gives identical counts."""
-    for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):  # PCG64 seeds are >= 0
-        if not isinstance(value, _INTEGERS) or value < least:
-            raise InvalidArgument(f"{name} must be an integer >= {least}, got {spell(value)}")
+    shots, seed = _at_least("shots", shots, 1), _at_least("seed", seed, 0)  # PCG64 seeds are >= 0
     total = float(dist.probs.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise InvalidDistribution(
@@ -171,7 +169,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> MeasurementRecor
         counts[1:] -= edges[:-1]
         del edges
     counts.setflags(write=False)
-    return MeasurementRecord(seed=int(seed), shots=int(shots), counts=counts, povm=dist.povm)
+    return MeasurementRecord(seed=seed, shots=shots, counts=counts, povm=dist.povm)
 
 
 def circular_mean(record: MeasurementRecord) -> tuple[float, float]:

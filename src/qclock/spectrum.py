@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _INTEGERS, CapacityError, InvalidArgument, _finite, spell
+from .errors import CapacityError, InvalidArgument, _finite, _integer, spell
 from .units import ConstantsSet, natural_units
 
 # r_p above this budget aborts spectrum construction.
@@ -39,6 +39,10 @@ DEFAULT_INTEGER_BUDGET = 2**256
 # bytes a call may peak at, charged by _charge before it allocates.  A gathered
 # dial holds a 16 B twiddle per point, so N <= 2^28 and (r_n mod N) m < 2^56.
 _BYTE_BUDGET = 2**32
+# bytes read_spectrum is charged per byte of a spectrum file: the text, a string per
+# line and a float or ratio per level.  tracemalloc reads 60 B per byte on 90,000
+# lines of short integers (rationalized), and less on longer lines
+_READ_CHARGE = 64
 
 
 def _charge(nbytes: int, what: str) -> None:
@@ -61,7 +65,7 @@ class RationalRatio:
     B: int
 
     def __post_init__(self):
-        if not (isinstance(self.C, _INTEGERS) and isinstance(self.B, _INTEGERS)):
+        if not (_integer(self.C) and _integer(self.B)):
             raise InvalidArgument(f"C/B needs integers, got {spell(self.C)}/{spell(self.B)}")
         if self.B < 1:
             raise InvalidArgument(f"denominator must be >= 1, got {spell(self.B)}")
@@ -115,7 +119,7 @@ class ClockSpectrum:
     def __post_init__(self):
         object.__setattr__(self, "levels", levels := _checked_levels(self.levels))
         r = tuple(self.r)
-        if bad := [x for x in r if not isinstance(x, _INTEGERS)]:  # int() would truncate them
+        if bad := [x for x in r if not _integer(x)]:  # int() would truncate them
             raise InvalidArgument(f"r must hold integers, got {spell(bad[0])}")
         object.__setattr__(self, "r", tuple(map(int, r)))
         if len(self.r) != len(levels):
@@ -177,7 +181,7 @@ def max_integer(spec: ClockSpectrum) -> int:
 def build_equally_spaced(p: int, T: float, consts: ConstantsSet | None = None) -> ClockSpectrum:
     """Equally-spaced spectrum E_n = 2*pi*hbar*n/T with r_n = n."""
     consts = consts or natural_units()
-    if not isinstance(p, _INTEGERS) or p < 1:
+    if not _integer(p) or p < 1:
         raise InvalidArgument(f"p must be an integer >= 1, got {spell(p)}")
     if not (_finite(T) and T > 0):
         raise InvalidArgument(f"T must be positive, got {spell(T)}")
@@ -369,23 +373,24 @@ def parse_spectrum(text: str, consts: ConstantsSet | None = None) -> ClockSpectr
 
 
 def write_spectrum(spec: ClockSpectrum, path: str) -> None:
+    """Write spec's text to path; refused, with no file opened, where read_spectrum would be."""
+    text = dump_spectrum(spec)
+    _charge(_READ_CHARGE * len(text), f"reading back a spectrum file of {len(text)} bytes")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_spectrum(spec))
+        fh.write(text)
 
 
 def read_spectrum(path: str, consts: ConstantsSet | None = None) -> ClockSpectrum:
     with open(path, encoding="utf-8") as fh:
         info = os.fstat(fh.fileno())
-        # the text, a string per line and a float or ratio per level: tracemalloc
-        # reads 60 B per byte on 90,000 lines of short integers (rationalized),
-        # and less on longer lines
         try:
             if stat.S_ISREG(info.st_mode):
-                _charge(64 * info.st_size, f"a spectrum file of {info.st_size} bytes")
+                _charge(_READ_CHARGE * info.st_size, f"a spectrum file of {info.st_size} bytes")
                 text = fh.read()
             else:  # a pipe or a device states no size: read no more than the budget admits
-                text = fh.read(_BYTE_BUDGET // 64 + 1)
-                _charge(64 * len(text), f"a spectrum file of {len(text)} or more characters")
+                text = fh.read(_BYTE_BUDGET // _READ_CHARGE + 1)
+                _charge(_READ_CHARGE * len(text),
+                        f"a spectrum file of {len(text)} or more characters")
         except UnicodeDecodeError as exc:
             raise InvalidArgument(f"spectrum file {path!r} is not UTF-8 text") from exc
         return parse_spectrum(text, consts)

@@ -290,9 +290,20 @@ def real_form_dense(matrix, u) -> np.ndarray:
     return Q.conj().T @ (u.conj()[:, None] * matrix * u) @ Q
 
 
-def hermitian_scrub_dense(matrix) -> np.ndarray:
-    """(M + M^H)/2 from two whole-matrix temporaries."""
-    return 0.5 * (matrix + matrix.conj().T)
+def hermitian_mirror_dense(spec, tau0, f) -> np.ndarray:
+    """sum_m f_m |tau_m><tau_m| for real f on the z = p dial of an equally spaced
+    spectrum: the offset phases times c[(n - k) mod (p+1)], c the conjugate-even
+    spectrum of f from its rfft half (c[j] = conj(c[p+1-j]) past the half), with
+    the strict upper triangle assigned from the conjugated transpose.  Assigned,
+    not added to a zero triangle, since 0.0 + -0.0 would drop the sign of a zero."""
+    d = spec.dimension
+    half = np.fft.rfft(f) / d
+    c = np.array([half[j] if j < len(half) else np.conj(half[d - j]) for j in range(d)])
+    n = np.arange(d)
+    matrix = offset_phases_dense(spec, tau0) * c[n[:, None] - n]
+    upper = np.triu_indices(d, 1)
+    matrix[upper] = matrix.conj().T[upper]
+    return matrix
 
 
 def frame_dense(spec, zp1, tau0) -> np.ndarray:

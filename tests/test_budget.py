@@ -17,7 +17,7 @@ from qclock import (CapacityError, ClockPOVM, ClockSpectrum, SpectrumKind,
                     outcome_probabilities, spectrum, time_state)
 
 from oracles import (dial_circulant_gathered, frame_dense, frame_residual_dense,
-                     hermitian_scrub_dense)
+                     hermitian_mirror_dense)
 
 # the budget the charges are checked against; a run the budget admits may
 # peak 2 MiB past it (windows of 2^12 dial times, small arrays, interpreter
@@ -89,9 +89,9 @@ CHARGES = {
     "grid_amplitudes": (lambda n: 16 * 7 * n, _grid),
     "element": (lambda d: 16 * d * d, lambda tmp_path: lambda d: ClockPOVM(
         build_equally_spaced(d - 1, 1.0), d - 1).element(3)),
-    # the operator's one buffer, and the three arrays of a scrub band of 2^12 // d rows,
-    # allocated when its matrix is first read
-    "dial-circulant": (lambda d: 16 * d * d + 48 * max(1, 2**12 // d) * d,
+    # the operator's one buffer, and its spectrum, the spectrum doubled and the
+    # offset phases beside it, allocated when its matrix is first read
+    "dial-circulant": (lambda d: 16 * d * d + 112 * d,
                        lambda tmp_path: lambda d: hermitian_time_operator(
                            build_equally_spaced(d - 1, 1.0)).matrix),
     # the real symmetric form, 8 B per entry, and its two doubled spectrum vectors
@@ -104,7 +104,8 @@ CHARGES = {
         _rationalized(d), d - 1)),
     "build_equally_spaced": (lambda n: 73 * n, lambda tmp_path: lambda n: build_equally_spaced(
         n - 1, 1.0)),
-    "build-file": (lambda n: 176 * n, _cli_build),
+    # reading its file back: 64 B per byte, of at most 24 B a level and a header
+    "build-file": (lambda n: 64 * (24 * n + 64), _cli_build),
 }
 # the cases that run qclock.cli.main, which answers with an exit status
 CLI_CASES = {"measure-t", "measure-taum", "build-file"}
@@ -171,12 +172,12 @@ def test_the_dial_operators_peak_at_one_matrix():
     # p = 511: 4 MiB a matrix, where the whole-matrix expressions held three
     d = 512
     spec = build_equally_spaced(d - 1, 2.5)
-    op = hermitian_time_operator(spec, 0.3)  # numpy.fft's first plan, outside the trace
-    traced, peak = _traced(lambda _: hermitian_time_operator(spec, 0.3), d)
+    op = hermitian_time_operator(spec, 0.3)
+    op.matrix  # numpy.fft's first plan, outside the trace
+    traced, peak = _traced(lambda _: hermitian_time_operator(spec, 0.3).matrix, d)
     assert peak <= 16 * d * d + 2**20
     taus = op.povm.tau_grid
-    expected = hermitian_scrub_dense(dial_circulant_gathered(spec, 0.3, taus))
-    assert traced.matrix.tobytes() == expected.tobytes()
+    assert traced.tobytes() == hermitian_mirror_dense(spec, 0.3, taus).tobytes()
     delta_e = 0.7 * spec.hbar / spec.T
     U, peak = _traced(lambda _: energy_shift_unitary(op, delta_e), d)
     assert peak <= 16 * d * d + 2**20
@@ -186,10 +187,14 @@ def test_the_dial_operators_peak_at_one_matrix():
 
 @pytest.mark.parametrize("d", [16, 256, 1001])
 def test_the_time_operator_peaks_within_its_charge(d):
-    # the matrix and the scrub's three band arrays, and 32 KiB of small objects
+    # the matrix and its O(d) vectors, and 32 KiB of small objects; an energy shift,
+    # whose phases and their FFT sit beside its matrix, shares the charge
     spec = build_equally_spaced(d - 1, 1.0)
-    hermitian_time_operator(spec).matrix  # numpy.fft's first plans, outside the trace
+    op = hermitian_time_operator(spec)
+    op.matrix, energy_shift_unitary(op, 0.7)  # numpy.fft's first plans, outside the trace
     _, peak = _traced(lambda _: hermitian_time_operator(spec).matrix, d)
+    assert peak <= CHARGES["dial-circulant"][0](d) + 32 * 2**10
+    _, peak = _traced(lambda _: energy_shift_unitary(op, 0.7), d)
     assert peak <= CHARGES["dial-circulant"][0](d) + 32 * 2**10
 
 
@@ -288,6 +293,41 @@ def test_cli_inputs_are_charged_before_they_are_read(tmp_path, monkeypatch, caps
     assert f"needs {unit * n} bytes, past the budget of {BUDGET} bytes" in message
     if name == "check-identity":  # one byte less is read
         assert cli.main(make_argv(tmp_path, n - 1)) == 0
+
+
+def test_build_writes_no_spectrum_file_that_reading_would_refuse(tmp_path, monkeypatch, capsys):
+    # a 300,001-level file of about 5.5 MB would be charged 64 B per byte when read
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", BUDGET)
+    path = tmp_path / "eq.spec"
+    code = cli.main(["build", "--kind", "equally-spaced", "--p", "300000", "--T", "1.0",
+                     "--units", "natural", "--spectrum-out", str(path)])
+    assert code == 1
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "capacity-error"
+    # a listed spectrum is charged on its text, before its path is opened
+    levels = ",".join(str(1.0 + n / 7) for n in range(200))
+    argv = ["build", "--kind", "rationalized", "--levels", f"0,{levels}", "--epsilon", "1e-3",
+            "--units", "natural", "--spectrum-out", str(path)]
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", 2**16)
+    assert cli.main(argv) == 1
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and "reading back a spectrum file of" in json.loads(err)["message"]
+
+
+def test_a_written_spectrum_is_charged_as_it_will_be_read(tmp_path, monkeypatch):
+    spec = build_equally_spaced(1000, 1.0)
+    size = len(spectrum.dump_spectrum(spec))
+    path = tmp_path / "eq.spec"
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", 64 * size - 1)
+    with pytest.raises(CapacityError, match=f"needs {64 * size} bytes"):
+        spectrum.write_spectrum(spec, str(path))
+    assert not path.exists()
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", 64 * size)
+    spectrum.write_spectrum(spec, str(path))
+    assert path.stat().st_size == size
+    assert spectrum.read_spectrum(str(path)).r == spec.r
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")

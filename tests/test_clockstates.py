@@ -25,7 +25,7 @@ from qclock import (CapacityError, ClockPOVM, ClockSpectrum, IncompatibleStates,
 
 from oracles import (dial_circulant_gathered, dial_operator_naive, first_zero_scan,
                      frame_dense, frame_residual_dense, frame_residual_naive,
-                     gram_matrix_naive, hermitian_scrub_dense, random_rational_fracs,
+                     gram_matrix_naive, hermitian_mirror_dense, random_rational_fracs,
                      real_form_dense, turns_fraction)
 
 # what a refusal by the byte budget says
@@ -566,8 +566,10 @@ def test_dial_operators_are_the_whole_matrix_expressions_to_the_byte(nat, p, T, 
     spec = build_equally_spaced(p, T, nat)
     op = hermitian_time_operator(spec, tau0)
     taus = op.povm.tau_grid
-    expected = hermitian_scrub_dense(dial_circulant_gathered(spec, tau0, taus))
+    expected = hermitian_mirror_dense(spec, tau0, taus)
     assert op.matrix.tobytes() == expected.tobytes()
+    upper = np.triu_indices(p + 1, 1)
+    assert op.matrix[upper].tobytes() == op.matrix.T[upper].conj().tobytes()
     delta_e = shift * spec.hbar / spec.T
     phases = np.exp(-1j * delta_e * taus / spec.hbar)
     U = energy_shift_unitary(op, delta_e)
@@ -611,21 +613,6 @@ def test_a_time_operator_holds_its_z_equals_p_dial(nat):
     op = TimeOperator(ClockPOVM(spec, 3, 0.25))
     assert op.matrix is op.matrix and not op.matrix.flags.writeable
     assert op.matrix.tobytes() == hermitian_time_operator(spec, 0.25).matrix.tobytes()
-
-
-def test_the_scrub_is_the_whole_matrix_expression_band_by_band(monkeypatch):
-    # entries drawn from zeros of both signs, a subnormal and a few repeated
-    # values, so many pairs share an imaginary part; bands of 1, 2, 5 and 37
-    # rows leave last bands of one row, and a whole-matrix band
-    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -3.25])
-    rng = np.random.default_rng(7)
-    matrix = rng.choice(values, (38, 38)) + 1j * rng.choice(values, (38, 38))
-    expected = hermitian_scrub_dense(matrix)
-    for rows in (1, 2, 5, 37, 38):
-        monkeypatch.setattr(clockstates, "_BLOCK", rows * 38)
-        scrubbed = matrix.copy()
-        clockstates._hermitian_scrub(scrubbed)
-        assert scrubbed.tobytes() == expected.tobytes()
 
 
 def _frame_spectrum(kind, p, seed, nat):

@@ -4,8 +4,8 @@ escapes on the way.
 
 A number is usable only when float64 holds it finitely, so an int or a
 Fraction past the float range is refused like nan and inf; an integer
-argument must be an int or a numpy integer.  The table grows toward a
-harness over every public callable.
+argument must be an int or a numpy integer, and not a bool.  The table
+grows toward a harness over every public callable.
 """
 
 import math
@@ -129,6 +129,15 @@ HOSTILE_CALLS = {
     "MeasurementRecord-shots-float": (
         lambda: MeasurementRecord(seed=0, shots=2.0, counts=[1, 1, 0, 0], povm=ClockPOVM(SPEC, 3)),
         "shots must be an integer >= 1, got 2.0"),
+    "structural_bound-p-bool": (lambda: structural_bound(1.0, True),
+                                "p must be an integer >= 0, got True"),
+    "ClockPOVM-z-bool": (lambda: ClockPOVM(build_equally_spaced(1, 1.0), True),
+                         "need z >= p = 1, got True"),
+    "build_equally_spaced-p-bool": (lambda: build_equally_spaced(True, 1.0),
+                                    "p must be an integer >= 1, got True"),
+    "sample-bool-shots": (lambda: sample(_dist(), True, False),
+                          "shots must be an integer >= 1, got True"),
+    "RationalRatio-bool": (lambda: RationalRatio(True, 1), "C/B needs integers, got True/1"),
 }
 
 
