@@ -36,10 +36,12 @@ first = time_state(spec, 0.0)
 print("|<tau_0|t=0.2>| =", abs(overlap(first, mid)))
 
 # With z = p the observable collapses to a Hermitian operator whose
-# eigenvalues are exactly the dial readings.
+# eigenvalues are exactly the dial readings: the orthonormal dial states are
+# its eigenvectors, so eigenvalues() returns the dial grid, and a numerical
+# solve of its matrix agrees.
 op = hermitian_time_operator(spec)
-print("time operator eigenvalues:", np.round(op.eigenvalues(), 12))
-print("dial grid:               ", op.povm.tau_grid)
+print("time operator eigenvalues:", op.eigenvalues())
+print("eigvalsh of its matrix:   ", np.round(np.linalg.eigvalsh(op.matrix), 12))
 
 # The time operator generates shifts in energy: exponentiating it against
 # one level spacing permutes the energy basis cyclically.

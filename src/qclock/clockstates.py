@@ -60,25 +60,19 @@ Hermitian time operator and its energy shifts are one length-(p+1) FFT.
 The time operator's c is the DFT of the real dial times, taken once as an
 rfft half and mirrored conjugate-even; its matrix keeps the circulant's lower
 triangle and writes the upper as the conjugate mirror, Hermitian to the bit.
-
-The time operator's eigenvalues come from a real symmetric matrix, by the
-centrohermitian reduction (A. Lee, Linear Algebra Appl. 29, 1980).  Write
-tau_hat = D C D^H, D = diag(u_n), C_nk = c[(n-k) mod d], d = p+1, and let J
-reverse the index, n -> -n mod d.  c is the DFT of the real dial times, so
-c[-j] = conj(c[j]) and J conj(C) J = C; then Q = (I + iJ)/sqrt 2 is unitary
-and Q^H C Q = S, S_nk = Re c[(n-k) mod d] - Im c[(n+k) mod d], a real
-symmetric Toeplitz-plus-Hankel matrix with the eigenvalues of tau_hat.  S
-is filled from the rfft half of c, conjugate-even by construction, so it is
-exactly symmetric, and eigvalsh works on 8 B entries, not 16 B complex ones.
+Its eigenvalues need no solve: there the dial states are orthonormal (the
+exact residual is 0, read off the distinct residues n mod (p+1)), so
+tau_hat = sum_m tau_m |tau_m><tau_m| is its own spectral decomposition, and
+its eigenvalues are the dial times tau_m, its eigenvectors the dial states.
 
 Each dense (p+1)^2 operator is built in its own buffer: every step of the
 whole-matrix expression it stands for is worked in place, or a row at a time,
 in that expression's operand order, so the result has the same bits.  The
 time operator's complex matrix, built only when it is read, and the energy
-shifts peak at 16 B per entry and 112 B per level, its eigenvalues at 8 B
-per entry and 40 B per level, the frame operator at about 41 B per entry.
-eigvalsh copies its matrix inside LAPACK, in memory numpy does not allocate,
-which tracemalloc does not see and no charge counts.
+shifts peak at 16 B per entry and 112 B per level, the frame operator at
+about 41 B per entry.  The rationalized residual's eigvalsh copies the frame
+inside LAPACK, in memory numpy does not allocate, which tracemalloc does not
+see and no charge counts.
 
 Every dial entry point builds its dial as a ClockPOVM, the one check of z
 and tau_0.  The frame operator holds r_n mod (z+1) in int64, so it and the
@@ -102,7 +96,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (CapacityError, IncompatibleStates, InvalidArgument, UnsupportedSpectrum,
-                     _finite, _integer, spell)
+                     _at_least, _finite, _integer, spell)
 from .spectrum import ClockSpectrum, SpectrumKind, _charge
 
 # entries a windowed pass holds at a time: dial times, scan steps, written values.
@@ -436,14 +430,9 @@ def _dial_spectrum(transform, f) -> np.ndarray:
     return c
 
 
-def _conjugate_even(half: np.ndarray, d: int) -> np.ndarray:
-    """The length-d spectrum c of a real vector from its rfft half: c[d-j] = conj(c[j])."""
-    return np.concatenate([half, half[d - len(half):0:-1].conj()])
-
-
-def _dial_circulant(povm: ClockPOVM, c) -> np.ndarray:
+def _dial_circulant(povm: ClockPOVM, spectrum) -> np.ndarray:
     """sum_m f_m |tau_m><tau_m| on the z = p dial povm of an equally spaced spectrum,
-    from c = fft(f)/(p+1), the dial's spectrum.
+    from c = spectrum() = fft(f)/(p+1), the dial's spectrum, made after the charge.
 
     With r_n = n, <E_n|tau_m> = u_n e^{-2 pi i n m/(p+1)} / sqrt(p+1), so
     entry (n, k) is u_n conj(u_k) c[(n-k) mod (p+1)]: one length-(p+1) FFT,
@@ -455,7 +444,9 @@ def _dial_circulant(povm: ClockPOVM, c) -> np.ndarray:
     """
     spec, d = povm.spectrum, povm.spectrum.dimension
     _charge(16 * d * d + 112 * d, "a dial operator")
+    c = spectrum()
     twice = np.concatenate([c[::-1], c[::-1]])  # from d-1-n on: c[n], c[n-1], ...
+    del c
     return _offset_phases(spec, povm.tau_0, lambda n: twice[d - 1 - n:2 * d - 1 - n],
                           np.empty((d, d), dtype=complex))
 
@@ -467,9 +458,9 @@ class TimeOperator:
 
     The dial's spectrum c = rfft(tau_grid)/(p+1) is taken here, once, so a dial
     whose times or their sum overflow the float range is refused at construction.
-    eigenvalues() solves the real symmetric form of tau_hat and leaves matrix,
-    the complex (p+1)^2 operator, unbuilt; matrix is built on first read from
-    the same c, with no second FFT.
+    eigenvalues() reads the dial times and leaves matrix, the complex (p+1)^2
+    operator, unbuilt; matrix is built on first read from the same c, with no
+    second FFT.
     """
 
     povm: ClockPOVM
@@ -489,36 +480,22 @@ class TimeOperator:
     def matrix(self) -> np.ndarray:
         """The complex operator, built on first read in its one buffer, whose peak the
         module docstring gives; read-only.  Its lower triangle is the circulant of the
-        real form's conjugate-even c, and each row's strict upper part the conjugate of
-        the column below the diagonal, so it is Hermitian to the bit."""
-        d = self.povm.spectrum.dimension
-        matrix = _dial_circulant(self.povm, _conjugate_even(self._half, d))
+        dial's spectrum c, mirrored conjugate-even from its rfft half, c[d-j] = conj(c[j]),
+        and each row's strict upper part the conjugate of the column below the diagonal,
+        so it is Hermitian to the bit."""
+        half, d = self._half, self.povm.spectrum.dimension
+        matrix = _dial_circulant(self.povm, lambda: np.concatenate(
+            [half, half[d - len(half):0:-1].conj()]))
         for n in range(d - 1):
             np.conjugate(matrix[n + 1:, n], out=matrix[n, n + 1:])
         matrix.setflags(write=False)
         return matrix
 
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of tau_hat, ascending, from its real symmetric form."""
-        return np.linalg.eigvalsh(self._real_form())
-
-    def _real_form(self) -> np.ndarray:
-        """S_nk = Re c[(n-k) mod d] - Im c[(n+k) mod d], d = p+1, unitarily similar to
-        matrix (the module docstring derives it), in one buffer of 8 B per entry.
-
-        c is conjugate-even, c[d-j] = conj(c[j]), by construction from the rfft half,
-        so S is exactly symmetric.  Re c is even, so row n is Re c doubled, read from
-        d-n on, less Im c doubled, read from n on: one ufunc per row, no index matrix.
-        """
-        half, d = self._half, self.povm.spectrum.dimension
-        _charge(8 * d * d + 40 * d, "a real time operator")
-        c = _conjugate_even(half, d)
-        re, im = np.tile(c.real, 2), np.tile(c.imag, 2)
-        del c
-        form = np.empty((d, d))
-        for n in range(d):
-            np.subtract(re[d - n:2 * d - n], im[n:n + d], out=form[n])
-        return form
+        """The eigenvalues of tau_hat, ascending: the dial times, povm.tau_grid itself
+        (read-only).  The z = p dial states are orthonormal, so tau_hat is its own
+        spectral decomposition (the module docstring); nothing is solved or allocated."""
+        return self.povm.tau_grid
 
 
 def hermitian_time_operator(spec: ClockSpectrum, tau_0: float = 0.0) -> TimeOperator:
@@ -537,14 +514,18 @@ def energy_shift_unitary(op: TimeOperator, delta_e: float) -> np.ndarray:
 
     With delta_e = +2 pi hbar/T the shift is downward (|E_n> -> |E_{n-1 mod
     d}>, a consequence of the e^{-i E tau} phase sign); the opposite sign
-    raises.  Either way tau_hat generates energy shifts.
+    raises.  Either way tau_hat generates energy shifts.  The phases and their
+    FFT are made after the operator's charge.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = (np.exp(-1j * delta_e * op.povm.tau_grid / op.povm.spectrum.hbar)
-                  if _finite(delta_e) else None)
-    if phases is None or not np.isfinite(phases).all():
-        raise InvalidArgument(f"energy shift {spell(delta_e)} gives non-finite phases")
-    return _dial_circulant(op.povm, _dial_spectrum(np.fft.fft, phases))
+    def spectrum():
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = (np.exp(-1j * delta_e * op.povm.tau_grid / op.povm.spectrum.hbar)
+                      if _finite(delta_e) else None)
+        if phases is None or not np.isfinite(phases).all():
+            raise InvalidArgument(f"energy shift {spell(delta_e)} gives non-finite phases")
+        return _dial_spectrum(np.fft.fft, phases)
+
+    return _dial_circulant(op.povm, spectrum)
 
 
 def _overlap_sq_slope(w: np.ndarray, t: float) -> tuple[complex, float]:
@@ -579,10 +560,7 @@ def first_orthogonal_time(spec: ClockSpectrum, *,
     w_n = E_n/hbar, the last term a rounding allowance (the module docstring sets out
     the search).  None certifies |S| >= _ZERO_TOL on (0, T - h], on all of (0, T) if exact.
     """
-    if not _integer(samples_per_cycle) or samples_per_cycle < 1:
-        raise InvalidArgument(
-            f"samples_per_cycle must be an int >= 1, got {spell(samples_per_cycle)}")
-    n_grid = max(512, int(samples_per_cycle) * (spec.r[-1] + 1))
+    n_grid = max(512, _at_least("samples_per_cycle", samples_per_cycle, 1) * (spec.r[-1] + 1))
     _charge((24 if spec.has_exact_integers else 17) * n_grid, f"a scan of {n_grid} points")
     with np.errstate(over="ignore"):  # an E_n/hbar past the float range is refused
         w, h = spec.levels / spec.hbar, spec.T / n_grid

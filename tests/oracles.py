@@ -290,6 +290,32 @@ def real_form_dense(matrix, u) -> np.ndarray:
     return Q.conj().T @ (u.conj()[:, None] * matrix * u) @ Q
 
 
+def real_form_toeplitz_hankel(taus) -> np.ndarray:
+    """S_nk = Re c[(n-k) mod d] - Im c[(n+k) mod d], c = fft(taus)/d mirrored
+    conjugate-even from its rfft half, d = len(taus), one row at a time: the
+    real symmetric Toeplitz-plus-Hankel form that real_form_dense reduces the
+    time operator to, exactly symmetric and with the eigenvalues of tau_hat
+    (the centrohermitian reduction, A. Lee, Linear Algebra Appl. 29, 1980)."""
+    d = len(taus)
+    half = np.fft.rfft(taus) / d
+    c = np.concatenate([half, half[d - len(half):0:-1].conj()])
+    re, im = np.tile(c.real, 2), np.tile(c.imag, 2)
+    form = np.empty((d, d))
+    for n in range(d):
+        np.subtract(re[d - n:2 * d - n], im[n:n + d], out=form[n])
+    return form
+
+
+def energy_shift_spectral(povm, delta_e) -> np.ndarray:
+    """sum_m exp(-i delta_e tau_m/hbar) ClockPOVM.element(m) on a z = p dial: the
+    energy shift from the time operator's spectral decomposition, whose dial
+    states are orthonormal, with tau_m = tau0 + m T/(p+1) in float."""
+    spec = povm.spectrum
+    taus = float(povm.tau_0) + np.arange(povm.n_outcomes) * (spec.T / povm.n_outcomes)
+    phases = np.exp(-1j * delta_e * taus / spec.hbar)
+    return sum(phase * povm.element(m) for m, phase in enumerate(phases))
+
+
 def hermitian_mirror_dense(spec, tau0, f) -> np.ndarray:
     """sum_m f_m |tau_m><tau_m| for real f on the z = p dial of an equally spaced
     spectrum: the offset phases times c[(n - k) mod (p+1)], c the conjugate-even

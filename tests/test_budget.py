@@ -94,10 +94,6 @@ CHARGES = {
     "dial-circulant": (lambda d: 16 * d * d + 112 * d,
                        lambda tmp_path: lambda d: hermitian_time_operator(
                            build_equally_spaced(d - 1, 1.0)).matrix),
-    # the real symmetric form, 8 B per entry, and its two doubled spectrum vectors
-    "time-operator-eigenvalues": (lambda d: 8 * d * d + 40 * d,
-                                  lambda tmp_path: lambda d: hermitian_time_operator(
-                                      build_equally_spaced(d - 1, 1.0)).eigenvalues()),
     "frame-eigvalsh": (lambda d: 48 * d * d, lambda tmp_path: lambda d: identity_residual(
         _rationalized(d), d - 1)),
     "frame_operator": (lambda d: 48 * d * d, lambda tmp_path: lambda d: frame_operator(
@@ -200,14 +196,25 @@ def test_the_time_operator_peaks_within_its_charge(d):
 
 @pytest.mark.parametrize("d", [16, 256, 1001])
 def test_the_time_operator_eigenvalues_peak_within_their_charge(d):
-    # the real symmetric form and its two doubled vectors, and 32 KiB of small
-    # objects; the complex matrix is never built
+    # the eigenvalues are the dial times, charged and built with the operator:
+    # reading them allocates nothing and leaves the complex matrix unbuilt
     op = hermitian_time_operator(build_equally_spaced(d - 1, 1.0), 0.3)
-    op.eigenvalues()  # numpy.linalg's first call, outside the trace
     eigenvalues, peak = _traced(lambda _: op.eigenvalues(), d)
+    assert peak <= 2**10
     assert "matrix" not in op.__dict__
-    assert peak <= CHARGES["time-operator-eigenvalues"][0](d) + 32 * 2**10
-    assert np.abs(eigenvalues - op.povm.tau_grid).max() <= 1e-12 * op.povm.spectrum.T
+    assert not eigenvalues.flags.writeable
+    assert np.array_equal(eigenvalues, op.povm.tau_grid)
+
+
+def test_a_refused_energy_shift_allocates_nothing_first(monkeypatch):
+    # the shift's phases and their FFT, 48 B a level, come after its charge
+    d = 4096
+    op = hermitian_time_operator(build_equally_spaced(d - 1, 1.0))
+    monkeypatch.setattr(spectrum, "_BYTE_BUDGET", 16 * d * d)
+    outcome, peak = _traced(lambda _: energy_shift_unitary(op, 0.7), d)
+    assert isinstance(outcome, CapacityError)
+    assert f"needs {16 * d * d + 112 * d} bytes" in str(outcome)
+    assert peak <= 4 * 2**10
 
 
 @pytest.mark.parametrize("kind", ["equally-spaced", "rationalized"])

@@ -23,10 +23,10 @@ from qclock import (CapacityError, ClockPOVM, ClockSpectrum, IncompatibleStates,
                     identity_residual, outcome_probabilities, overlap,
                     rationalized_spectrum, time_state)
 
-from oracles import (dial_circulant_gathered, dial_operator_naive, first_zero_scan,
-                     frame_dense, frame_residual_dense, frame_residual_naive,
+from oracles import (dial_circulant_gathered, dial_operator_naive, energy_shift_spectral,
+                     first_zero_scan, frame_dense, frame_residual_dense, frame_residual_naive,
                      gram_matrix_naive, hermitian_mirror_dense, random_rational_fracs,
-                     real_form_dense, turns_fraction)
+                     real_form_dense, real_form_toeplitz_hankel, turns_fraction)
 
 # what a refusal by the byte budget says
 BUDGET_MESSAGE = r"needs \d+ bytes, past the budget of \d+ bytes"
@@ -582,13 +582,14 @@ def test_dial_operators_are_the_whole_matrix_expressions_to_the_byte(nat, p, T, 
 def test_time_operator_eigenvalues_are_the_dial_grid_and_the_complex_solve(nat, p, tau0):
     spec = build_equally_spaced(p, 3.7, nat)
     op = hermitian_time_operator(spec, tau0)
-    eigenvalues, form = op.eigenvalues(), op._real_form()
+    eigenvalues = op.eigenvalues()
+    assert eigenvalues is op.povm.tau_grid
     assert "matrix" not in op.__dict__
+    form = real_form_toeplitz_hankel(op.povm.tau_grid)
     assert np.array_equal(form, form.T)
-    grid = np.sort(op.povm.tau_grid)
-    tol = 1e-12 * max(spec.T, float(np.abs(grid).max()))
-    assert np.abs(eigenvalues - grid).max() <= tol
+    tol = 1e-12 * max(spec.T, float(np.abs(eigenvalues).max()))
     assert np.abs(eigenvalues - np.linalg.eigvalsh(op.matrix)).max() <= tol
+    assert np.abs(eigenvalues - np.linalg.eigvalsh(form)).max() <= tol
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 63])
@@ -601,7 +602,22 @@ def test_the_real_form_is_the_unitary_reduction_of_the_matrix(nat, p, tau0):
     reduced = real_form_dense(op.matrix, u)
     tol = 1e-12 * max(spec.T, float(np.abs(op.povm.tau_grid).max()))
     assert np.abs(reduced.imag).max() <= tol
-    assert np.abs(reduced.real - op._real_form()).max() <= tol
+    assert np.abs(reduced.real - real_form_toeplitz_hankel(op.povm.tau_grid)).max() <= tol
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 16])
+@pytest.mark.parametrize("tau0", [0.0, -2.5, 0.37])
+def test_an_energy_shift_is_the_spectral_sum_and_a_cyclic_shift(nat, p, tau0):
+    # at delta_e = k 2 pi hbar/T the dial phases are e^{-2 pi i k (tau0 + m T/(p+1))/T},
+    # so exp(-i delta_e tau_hat/hbar) moves |E_n> to |E_{n-k mod p+1}> up to a phase
+    spec = build_equally_spaced(p, 3.7, nat)
+    op = hermitian_time_operator(spec, tau0)
+    for k in (1, 2, p, -1):
+        delta_e = k * 2 * math.pi * spec.hbar / spec.T
+        U = energy_shift_unitary(op, delta_e)
+        assert np.abs(U - energy_shift_spectral(op.povm, delta_e)).max() <= 1e-12
+        shift = np.roll(np.eye(spec.dimension), -k, axis=0)  # 1 at (n - k mod p+1, n)
+        assert np.abs(np.abs(U) - shift).max() <= 1e-12
 
 
 def test_a_time_operator_holds_its_z_equals_p_dial(nat):

@@ -95,7 +95,10 @@ HOSTILE_CALLS = {
         "r must hold integers, got 1.5"),
     "first_orthogonal_time-samples": (
         lambda: first_orthogonal_time(SPEC, samples_per_cycle=-10**5000),
-        "samples_per_cycle must be an int >= 1, got <a negative int of 16610 bits>"),
+        "samples_per_cycle must be >= 1, got <a negative int of 16610 bits>"),
+    "first_orthogonal_time-samples-float": (
+        lambda: first_orthogonal_time(SPEC, samples_per_cycle=2.5),
+        "samples_per_cycle must be an integer >= 1, got 2.5"),
     "structural_bound-p-huge": (lambda: structural_bound(1.0, -HUGE),
                                 "p must be >= 0, got <a negative int of 16610 bits>"),
     "structural_bound-p-float": (lambda: structural_bound(1.0, 2.5),
